@@ -114,11 +114,13 @@ class OutputRecord:
         return lines
 
     def emit(self, fmt: str) -> None:
+        # an explicit file keeps click from caching (and so keeping alive)
+        # whatever stream sys.stdout is at the time
         if fmt == "json":
-            click.echo(self.json_line())
+            click.echo(self.json_line(), file=sys.stdout)
         else:
             for line in self.csv_lines():
-                click.echo(line)
+                click.echo(line, file=sys.stdout)
 
 
 def _model_from(iid, markov):
@@ -397,7 +399,10 @@ def cmd_fit(
         except ValueError as exc:
             raise click.UsageError(str(exc))
         params.update({"reps": reps, "seed": seed})
-        sample = sample_waiting_times(source, k, reps, SeededStream(seed))
+        try:
+            sample = sample_waiting_times(source, k, reps, SeededStream(seed))
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
     if family is None:
         family = "markov" if simulate_markov not in (None, ()) else "iid"
     params["family"] = family
@@ -554,13 +559,13 @@ def cmd_check(n, kmax, ledger, fmt):
         click.echo(
             f"check: enumeration disagrees for {label}, {statistic}: "
             f"tv={_fmt(tv)}",
-            err=True,
+            file=sys.stderr,
         )
     for fid, expected, observed in mismatches:
         click.echo(
             f"check: {fid} (anchor {anchors.get(fid, '?')}): expected "
             f"{expected}, observed {observed}",
-            err=True,
+            file=sys.stderr,
         )
     return 1 if bad_oracle or mismatches else 0
 

@@ -27,38 +27,76 @@ from .models import IID, Markov, Pmf, TrialModel
 from .polyseries import Poly, RationalGF
 
 
-def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
-    """First `count` values h_1..h_count of the auxiliary recursion."""
-    h = np.zeros(count + 1)  # h[0] unused so indices match the math
-    if count < 1:
-        return h[1:]
+#: Largest horizon that :func:`default_vmax` and the sampler's horizon
+#: extension may choose on their own; beyond it the caller passes a horizon.
+MAX_HORIZON = 10**7
+#: Cap on the entries of the block matrix in :func:`_h_sequence`, which
+#: bounds its memory when both k and the horizon are large.
+_BLOCK_ENTRIES = 2**20
+#: Values of k advanced together by :func:`longest_run_pmf`.
+_LONGEST_CHUNK = 64
+
+
+def _lags(model: TrialModel, d: int) -> np.ndarray:
+    """Weights c_1..c_d of h_v = sum_j c_j h_{v-j}.
+
+    They do not depend on k: the run length only truncates the lags, so
+    every run length of one model shares the same vector.
+    """
     if isinstance(model, IID):
-        p, q = model.p, model.q
-        pw = p ** np.arange(k)  # 1, p, ..., p^(k-1)
-        h[1] = 1.0
-        for v in range(2, count + 1):
-            depth = min(k, v - 1)
-            acc = 0.0
-            for i in range(1, depth + 1):
-                acc += pw[i - 1] * h[v - i]
-            h[v] = q * acc
-    else:
-        a, b = model.alpha, model.beta
-        aw = a ** np.arange(max(k - 1, 1))
-        c = (1.0 - a) * (1.0 - b)
-        h[1] = model.p1
-        if count >= 2:
-            h[2] = model.q1 * (1.0 - b)
-        for v in range(3, count + 1):
-            acc = b * h[v - 1]
-            for i in range(0, min(k - 2, v - 3) + 1):
-                acc += c * aw[i] * h[v - i - 2]
-            h[v] = acc
-    return h[1:]
+        return model.q * model.p ** np.arange(d)
+    a, b = model.alpha, model.beta
+    c = np.empty(d)
+    c[:1] = b
+    c[1:] = (1.0 - a) * (1.0 - b) * a ** np.arange(d - 1)
+    return c
+
+
+def _seeds(model: TrialModel) -> np.ndarray:
+    """The values of h that precede the recursion (h_1, or h_1 and h_2)."""
+    if isinstance(model, IID):
+        return np.array([1.0])
+    return np.array([model.p1, model.q1 * (1.0 - model.beta)])
+
+
+def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
+    """First `count` values h_1..h_count of the auxiliary recursion.
+
+    Only lags that reach back to h_1 matter, so d = min(k, count - 1) of
+    them are kept.  A matrix M maps the last d values to the next B, and
+    each block of B values costs one matrix-vector product.  M is built by
+    doubling: its first b rows, applied to the window moved on by b values,
+    give the next b rows.  B, a power of two near 2 sqrt(count), keeps both
+    stages near O(count d) work in O(sqrt(count)) numpy calls.  Every
+    weight is non-negative, so no step cancels.
+    """
+    if count < 1:
+        return np.zeros(0)
+    seeds = _seeds(model)[:count]
+    if count == len(seeds):
+        return seeds
+    d = min(k, count - 1)
+    block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // d))
+    mat = np.empty((1 << (block - 1).bit_length(), d))
+    mat[0] = _lags(model, d)[::-1]  # h_t from the window h_{t-d..t-1}
+    b = 1
+    while b < block:
+        u = min(b, d)  # the moved window's last u values are rows b-u..b-1
+        np.matmul(mat[:b, d - u :], mat[b - u : b], out=mat[b : 2 * b])
+        if b < d:  # and its first d-b values are the old window's last
+            mat[b : 2 * b, b:] += mat[:b, : d - b]
+        b *= 2
+    x = np.zeros(d + count)  # d zeros stand for h_v, v <= 0
+    x[d : d + len(seeds)] = seeds
+    for t in range(len(seeds), count, b):
+        rows = min(b, count - t)
+        x[d + t : d + t + rows] = mat[:rows] @ x[t : t + d]
+    return x[d:]
 
 
 def _run_prefix_prob(model: TrialModel, k: int) -> float:
-    """Probability factor contributed by the final k-success block."""
+    """Probability factor contributed by the final k-success block (per
+    entry when k is an array)."""
     if isinstance(model, IID):
         return model.p**k
     return model.alpha ** (k - 1)
@@ -70,14 +108,45 @@ def _validate_k(k: int) -> int:
     return k
 
 
+def mean_wait(model: TrialModel, k: int) -> float:
+    """E[V(k)] in closed form, from first-step equations over streak states.
+
+    Stays finite far beyond where the pgf's moments cancel, which is where
+    it is needed: to describe waits too long to tabulate.
+    """
+    k = _validate_k(k)
+    with np.errstate(over="ignore"):  # a wait beyond float range is inf
+        if isinstance(model, IID):
+            return float((np.float64(model.p) ** -k - 1.0) / model.q)
+        a, b = model.alpha, model.beta
+        # expected trials after a failure; after a success, 1/(1-b) fewer
+        after_failure = (1.0 / (1.0 - b) + (1.0 - a ** (k - 1)) / (1.0 - a)) * (
+            np.float64(a) ** (1 - k)
+        )
+    return float(1.0 + after_failure - model.p1 / (1.0 - b))
+
+
+def horizon_error(model: TrialModel, k: int, horizon: int) -> ValueError:
+    """The error for an automatic horizon that would exceed MAX_HORIZON."""
+    return ValueError(
+        f"the first {k}-run wait has mean {mean_wait(model, k):.6g} trials; "
+        f"covering it takes a horizon of {horizon} trials, above the limit "
+        f"of {MAX_HORIZON}; pass an explicit horizon where one is accepted "
+        "(vmax, or --vmax on the command line)"
+    )
+
+
 def default_vmax(model: TrialModel, k: int) -> int:
     """Truncation horizon leaving under ~1e-12 of mass in the tail.
 
     Probes the pmf recursion, estimates the geometric decay ratio rho from
     successive values, and returns max(10k, ceil(log(1e-12)/log(rho))).
+    Raises ValueError when that exceeds MAX_HORIZON.
     """
     k = _validate_k(k)
     probe = max(10 * k, 50)
+    if probe > MAX_HORIZON:
+        raise horizon_error(model, k, probe)
     h = _h_sequence(model, k, probe)
     scale = _run_prefix_prob(model, k)
     tail_vals = [scale * x for x in h[-6:]]
@@ -87,8 +156,12 @@ def default_vmax(model: TrialModel, k: int) -> int:
             rho = b / a if rho is None else max(rho, b / a)
     if rho is None or not 0.0 < rho < 1.0:
         # extremely slow or irregular decay at the probe length; extend hard
-        return probe * 20
-    return max(10 * k, math.ceil(math.log(1e-12) / math.log(rho)))
+        vmax = probe * 20
+    else:
+        vmax = max(10 * k, math.ceil(math.log(1e-12) / math.log(rho)))
+    if vmax > MAX_HORIZON:
+        raise horizon_error(model, k, vmax)
+    return vmax
 
 
 def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
@@ -183,29 +256,45 @@ def vk_pmf_closedform_k2(model: TrialModel, v: int) -> float:
     return scale * (c1 * r1 ** (v - 1) + c2 * r2 ** (v - 1))
 
 
-def _vk_cdf_at(model: TrialModel, n: int, k: int) -> float:
-    """P(V(k) <= n); zero when the run cannot fit."""
-    if k > n:
-        return 0.0
-    pm = vk_pmf(model, k, vmax=n)
-    return float(pm.probs.sum())
+def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:
+    """P(V(k) <= n) for consecutive run lengths ks, in one pass.
+
+    Row k runs the h recursion with its lags cut at k; all rows advance
+    together, one trial index at a time, each step one weighted sum over
+    the window of the last `width` values.
+    """
+    count = n - int(ks[0]) + 1  # the first row needs the most values
+    width = min(int(ks[-1]), count - 1)
+    seeds = _seeds(model)[:count]
+    lag = np.arange(width, 0, -1)  # window row m holds h_{v-lag[m]}
+    weights = _lags(model, width)[::-1, None] * (lag[:, None] <= ks)
+    h = np.zeros((width + count, len(ks)))  # width zero rows: h_v, v <= 0
+    h[width : width + len(seeds)] = seeds[:, None]
+    for t in range(len(seeds), count):
+        h[width + t] = np.einsum("mr,mr->r", weights, h[t : t + width])
+    needed = np.arange(count)[:, None] < (n - ks + 1)  # h_1..h_{n-k+1}
+    return _run_prefix_prob(model, ks) * (h[width:] * needed).sum(axis=0)
 
 
 def longest_run_pmf(model: TrialModel, n: int) -> Pmf:
     """Distribution of the longest success run over n trials.
 
     Uses P(longest >= k) = P(V(k) <= n), differencing consecutive k.  The
-    support 0..n is complete, so the tail is exactly zero.
+    waiting-time laws for every k come from one pass of the shared
+    recursion, _LONGEST_CHUNK run lengths at a time.  The support 0..n is
+    complete, so the tail is exactly zero.
     """
     if n < 0:
         raise ValueError(f"horizon n must be >= 0, got {n}")
     if n == 0:
         return Pmf(offset=0, probs=np.array([1.0]))
-    cdf = [_vk_cdf_at(model, n, k) for k in range(1, n + 2)]  # k = 1..n+1
-    probs = np.zeros(n + 1)
+    cdf = np.zeros(n + 1)  # P(V(k) <= n) at k = 1..n+1; zero for k = n+1
+    for first in range(1, n + 1, _LONGEST_CHUNK):
+        ks = np.arange(first, min(first + _LONGEST_CHUNK, n + 1))
+        cdf[ks - 1] = _first_run_cdfs(model, ks, n)
+    probs = np.empty(n + 1)
     probs[0] = 1.0 - cdf[0]
-    for k in range(1, n + 1):
-        probs[k] = cdf[k - 1] - cdf[k]
+    probs[1:] = cdf[:-1] - cdf[1:]
     return Pmf(offset=0, probs=probs)
 
 

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometric import default_vmax, vk_pmf
+from .geometric import MAX_HORIZON, default_vmax, horizon_error, vk_pmf
 from .models import ConsistencyError, IID, Markov, Pmf, TrialModel
 from .run_counts import count_runs, first_occurrence_index
 from .rth_waiting import Scheme
@@ -305,7 +305,8 @@ def sample_waiting_times(
 
     The cdf table is extended (doubling the horizon) until it covers every
     uniform draw, so no draw is censored; the result is an int64 array of
-    waiting times.
+    waiting times.  Raises ValueError if that needs a horizon beyond
+    MAX_HORIZON.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -319,3 +320,5 @@ def sample_waiting_times(
         if idx.max() < len(cdf):
             return (pm.offset + idx).astype(np.int64)
         vmax *= 2
+        if vmax > MAX_HORIZON:
+            raise horizon_error(model, k, vmax)

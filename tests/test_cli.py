@@ -1,6 +1,10 @@
 """End-to-end behavior of the command-line interface."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -238,3 +242,43 @@ def test_check_output_is_deterministic(capsys):
     code_b, out_b, _ = run(capsys, "check", "--n", "3", "--k", "1")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_automatic_horizon_beyond_the_cap_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "pmf", "--iid", "0.1", "--stat", "vk", "--k", "8")
+    assert code == 1
+    assert out == ""
+    assert "mean 1.11111e+08 trials" in err and "--vmax" in err
+    assert "Traceback" not in err
+    code, out, err = run(
+        capsys, "fit", "--k", "8", "--simulate-iid", "0.1", "--reps", "5",
+        "--seed", "1",
+    )
+    assert code == 1
+    assert "mean" in err and "Traceback" not in err
+    # the same query with an explicit horizon succeeds
+    code, out, _ = run(
+        capsys, "pmf", "--iid", "0.1", "--stat", "vk", "--k", "8", "--vmax", "50"
+    )
+    assert code == 0 and parse(out)["parameters"]["vmax"] == 50
+
+
+def test_main_releases_the_streams_it_wrote_to():
+    # callers that capture output in a fresh buffer per call must get each
+    # buffer back once they drop it, however many calls they make
+    refs = []
+    for argv in (
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "2", "--vmax", "6"],
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "2", "--vmax", "6",
+         "--format", "csv"],
+        ["fib", "--k", "2", "--n", "10"],
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "0"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(argv)
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True] * len(refs)

@@ -1,21 +1,28 @@
 """First k-run waiting time and longest-run distributions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from successruns.fibk import fib_k
 from successruns.geometric import (
+    _LONGEST_CHUNK,
+    MAX_HORIZON,
     default_vmax,
     longest_run_gf,
     longest_run_pmf,
     longest_run_recursive,
     markov_vk_pgf,
+    mean_wait,
     vk_pgf,
     vk_pmf,
     vk_pmf_closedform_k2,
 )
 from successruns.models import IID, Markov
+from successruns.oracle import LongestRun, enumerate_exact
+from successruns.rth_waiting import Scheme, trk_moments
 
 MODELS = [IID(0.5), IID(0.3), Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35)]
 
@@ -91,6 +98,32 @@ def test_vk_sub_support_horizon_is_all_tail():
     assert pm.tail == 1.0
 
 
+# ---------------------------------------------------------------------------
+# longest_run_pmf: all run lengths in one pass
+
+LONGEST_NS = [1, 2, 3, _LONGEST_CHUNK - 1, _LONGEST_CHUNK, _LONGEST_CHUNK + 1,
+              2 * _LONGEST_CHUNK + 1]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 16])
+def test_longest_run_matches_enumeration(model, n):
+    got = longest_run_pmf(model, n)
+    want = enumerate_exact(model, n, LongestRun())
+    assert got.offset == want.offset == 0
+    np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-13)
+
+
+def assert_longest_duality(model, n, ks):
+    pm = longest_run_pmf(model, n)
+    assert len(pm.probs) == n + 1 and pm.tail == 0.0
+    assert math.isclose(float(pm.probs.sum()), 1.0, abs_tol=1e-12)
+    for k in ks:
+        at_least = float(pm.probs[k:].sum())
+        by_wait = float(vk_pmf(model, k, vmax=n).probs.sum())
+        assert abs(at_least - by_wait) < 1e-12, (k, at_least, by_wait)
+
+
 def test_longest_run_five_fair_trials_by_hand():
     # 32 equally likely strings; count by maximal success-run length
     pm = longest_run_pmf(IID(0.5), 5)
@@ -127,11 +160,141 @@ def test_longest_run_gf_expands_to_pmf(model):
 
 
 def test_longest_run_duality_with_waiting_time():
-    # the longest run reaches k within n trials iff the first k-run wait is <= n
+    # the longest run reaches k within n trials iff the first k-run wait is
+    # <= n; the horizons straddle the edges of longest_run_pmf's chunks of k
     for model in MODELS:
-        for k in (1, 2, 3):
-            pm_v = vk_pmf(model, k, vmax=30)
-            for n in (4, 9, 15):
-                lhs = float(np.sum(longest_run_pmf(model, n).probs[k:]))
-                rhs = sum(pm_v.p(v) for v in range(k, n + 1))
-                assert abs(lhs - rhs) < 1e-12
+        for n in (4, 9, 15, *LONGEST_NS):
+            assert_longest_duality(model, n, range(1, n + 1))
+
+
+@pytest.mark.parametrize("model", [IID(0.5), Markov(0.45, 0.3, 0.6)])
+def test_longest_run_duality_at_long_horizon(model):
+    n = 1000
+    ks = sorted({*range(1, 40), *range(40, n + 1, 37), n - 1, n})
+    assert_longest_duality(model, n, ks)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the paper's recurrence, transcribed term by term
+
+
+def paper_vk_pmf(model, k, vmax):
+    """P(V = v), v = k..vmax, straight from the h recursion in plain floats."""
+    count = vmax - k + 1
+    h = [0.0] * (count + 1)  # h[0] unused
+    if isinstance(model, IID):
+        p, q = model.p, model.q
+        h[1] = 1.0
+        for v in range(2, count + 1):
+            h[v] = q * sum(p ** (i - 1) * h[v - i] for i in range(1, min(k, v - 1) + 1))
+        scale = p**k
+    else:
+        a, b = model.alpha, model.beta
+        h[1] = model.p1
+        if count >= 2:
+            h[2] = model.q1 * (1.0 - b)
+        for v in range(3, count + 1):
+            h[v] = b * h[v - 1] + sum(
+                (1.0 - a) * (1.0 - b) * a**i * h[v - i - 2]
+                for i in range(0, min(k - 2, v - 3) + 1)
+            )
+        scale = a ** (k - 1)
+    return np.array([scale * x for x in h[1:]])
+
+
+KERNEL_PS = [0.02, 0.1, 0.35, 0.5, 0.75, 0.9, 0.98]
+KERNEL_CHAINS = [
+    Markov(p1, a, b)
+    for p1, a, b in [
+        (0.5, 0.02, 0.5),
+        (0.1, 0.5, 0.98),
+        (0.9, 0.98, 0.02),
+        (0.45, 0.3, 0.6),
+        (0.98, 0.9, 0.9),
+        (0.02, 0.75, 0.1),
+    ]
+]
+
+
+def assert_kernel_matches(model, k, vmax):
+    got = vk_pmf(model, k, vmax=vmax).probs
+    want = paper_vk_pmf(model, k, vmax)
+    # relative; values near the bottom of the float range round on their own
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_kernel_matches_paper_recurrence_iid(p, k):
+    for vmax in (k, k + 1, k + 7, 3000):
+        assert_kernel_matches(IID(p), k, vmax)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("model", KERNEL_CHAINS)
+def test_kernel_matches_paper_recurrence_markov(model, k):
+    for vmax in (k, k + 1, k + 2, k + 9, 3000):
+        assert_kernel_matches(model, k, vmax)
+
+
+def test_kernel_cuts_lags_at_the_horizon():
+    # only h_1..h_101 are needed, so at most 100 lags can matter
+    start = time.perf_counter()
+    pm = vk_pmf(IID(0.5), 2000, vmax=2100)
+    assert time.perf_counter() - start < 1.0
+    np.testing.assert_allclose(
+        pm.probs, paper_vk_pmf(IID(0.5), 2000, 2100), rtol=1e-12, atol=1e-300
+    )
+
+
+def test_kernel_long_horizon_meets_fibonacci_identity():
+    # at p = 1/2, P(V = v) = F^(k)_(v-k+1) / 2^v
+    k = 5
+    pm = vk_pmf(IID(0.5), k, vmax=10**5)
+    assert pm.tail < 1e-12
+    head = 0
+    for v in range(k, 200):
+        try:
+            want = fib_k(k, v - k + 1) / 2.0**v
+        except OverflowError:
+            break
+        assert pm.p(v) == pytest.approx(want, rel=1e-13)
+        head += 1
+    assert head > 50
+
+
+# ---------------------------------------------------------------------------
+# automatic horizons are bounded
+
+
+def test_default_vmax_refuses_horizons_beyond_the_cap():
+    with pytest.raises(ValueError, match=r"mean 1\.11111e\+08 trials.*--vmax"):
+        default_vmax(IID(0.1), 8)
+    with pytest.raises(ValueError, match="mean"):
+        vk_pmf(IID(0.1), 8)
+    with pytest.raises(ValueError, match="mean"):
+        default_vmax(IID(0.5), MAX_HORIZON)
+    # an explicit horizon is still honored
+    assert vk_pmf(IID(0.1), 8, vmax=100).support_end == 100
+
+
+@pytest.mark.parametrize(
+    "model,k,want",
+    [
+        (IID(0.5), 3, 330),
+        (IID(0.9), 8, 211),
+        (IID(0.2), 6, 539489),
+        (IID(0.05), 4, 4653522),
+        (Markov(0.4, 0.3, 0.9), 5, 38827),
+        (Markov(0.4, 0.9, 0.1), 2, 27),
+    ],
+)
+def test_default_vmax_below_the_cap_is_pinned(model, k, want):
+    assert default_vmax(model, k) == want
+
+
+@pytest.mark.parametrize("model", MODELS + [Markov(0.1, 0.8, 0.95)])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_mean_wait_matches_generating_function(model, k):
+    want = trk_moments(model, k, 1, Scheme.NON_OVERLAPPING).mean
+    assert mean_wait(model, k) == pytest.approx(want, rel=1e-10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from successruns import oracle
 from successruns.models import IID, Markov, tv_distance
 from successruns.oracle import (
     MAX_ENUM_TRIALS,
@@ -119,3 +120,13 @@ def test_sample_waiting_times_tracks_exact_mean():
     model = IID(0.5)
     s = sample_waiting_times(model, 2, 5000, SeededStream(31))
     assert abs(float(np.mean(s)) - 6.0) < 0.15
+
+
+def test_sample_waiting_times_refuses_unbounded_horizons(monkeypatch):
+    with pytest.raises(ValueError, match="mean"):
+        sample_waiting_times(IID(0.1), 8, 10, SeededStream(1))
+    # a horizon that keeps falling short is doubled only up to the cap
+    monkeypatch.setattr(oracle, "default_vmax", lambda model, k: 2)
+    monkeypatch.setattr(oracle, "MAX_HORIZON", 16)
+    with pytest.raises(ValueError, match="horizon of 32 trials"):
+        sample_waiting_times(IID(0.5), 2, 1000, SeededStream(1))
