@@ -30,8 +30,8 @@ from .polyseries import Poly, RationalGF
 #: Largest horizon that :func:`default_vmax` and the sampler's horizon
 #: extension may choose on their own; beyond it the caller passes a horizon.
 MAX_HORIZON = 10**7
-#: Cap on the entries of the block matrix in :func:`_h_sequence`, which
-#: bounds its memory when both k and the horizon are large.
+#: The block matrix of :func:`_h_sequence` holds at most twice this many
+#: entries, which bounds its memory when both k and the horizon are large.
 _BLOCK_ENTRIES = 2**20
 #: Values of k advanced together by :func:`longest_run_pmf`.
 _LONGEST_CHUNK = 64
