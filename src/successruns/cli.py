@@ -17,7 +17,7 @@ import numpy as np
 
 from .checks import diff_expected, run_all, write_ledger
 from .fibk import fib_k, fib_k_dresden, fib_k_spickerman
-from .geometric import default_vmax, longest_run_pmf, vk_pmf
+from .geometric import MAX_HORIZON, default_vmax, longest_run_pmf, vk_pmf
 from .inference import bootstrap_se, fit_iid, fit_markov
 from .models import IID, Markov, Pmf, tv_distance
 from .oracle import (
@@ -227,6 +227,12 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
         elif stat == "trk":
             _require(r >= 1, "--r must be a positive integer")
             nmax = vmax if vmax is not None else r * default_vmax(model, k)
+            if vmax is None and nmax > MAX_HORIZON:
+                raise ValueError(
+                    f"the automatic horizon for the r={r}-th {k}-run is "
+                    f"{r} x {nmax // r} = {nmax} trials, above the limit of "
+                    f"{MAX_HORIZON}; pass an explicit --vmax"
+                )
             pm = trk_pmf(model, k, r, sch, nmax)
             params.update({"r": r, "scheme": sch.value, "vmax": nmax})
         elif stat == "counts":

@@ -1,9 +1,9 @@
 """Exhaustive enumeration and seeded simulation for run statistics.
 
 This module is the ground truth the analytic routes are judged against.
-``enumerate_exact`` walks every 0/1 sequence of length n (vectorized over
-chunks of sequence ids), evaluates a run statistic on each, and accumulates
-exact sequence probabilities; nothing in it shares code with the generating
+``enumerate_exact`` walks every 0/1 sequence of length n (as a prefix tree,
+vectorized over chunks of sequence ids), evaluates a run statistic on each,
+and accumulates exact sequence probabilities; nothing in it shares code with the generating
 function machinery, so agreement between the two is meaningful evidence.
 ``enumerate_reference`` recomputes the same tables through the scalar
 counters in ``run_counts`` and exists purely to validate the vectorized
@@ -107,70 +107,123 @@ def _validate_stat(stat: Statistic) -> None:
         raise ValueError(f"occurrence index r must be >= 1, got {r}")
 
 
-def _apply_stat(bits: np.ndarray, stat: Statistic) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a statistic on every row of a 0/1 matrix.
+class _Automaton:
+    """The streak automaton that defines a statistic, one trial at a time.
 
-    Returns (values, defined): ``defined`` is False on rows where a waiting
-    statistic never materializes within the horizon (counting statistics are
-    always defined).  Columns are scanned left to right with the streak
-    automaton each scheme is defined by.
+    A state is a tuple of integer arrays with one entry per sequence: the
+    current streak, then one or two counters, the last of which is the
+    statistic's value.  They are the longest streak; the number of counted
+    runs; or the running count and the waiting time, which stays 0 while
+    the r-th run has not completed.  :meth:`step` appends trial j (0-based)
+    with value ``bit``, a 0/1 array or one scalar for every sequence; the
+    enumeration and the simulator drive the same step.
     """
-    rows, n = bits.shape
-    if isinstance(stat, LongestRun):
-        streak = np.zeros(rows, dtype=np.int64)
-        best = np.zeros(rows, dtype=np.int64)
-        for j in range(n):
-            streak = (streak + 1) * bits[:, j]
-            np.maximum(best, streak, out=best)
-        return best, np.ones(rows, dtype=bool)
 
-    k, r, scheme = _stat_fields(stat)
-    streak = np.zeros(rows, dtype=np.int64)
-    if r is None:
-        count = np.zeros(rows, dtype=np.int64)
-    else:
-        cum = np.zeros(rows, dtype=np.int64)
-        wait = np.zeros(rows, dtype=np.int64)
-        found = np.zeros(rows, dtype=bool)
-    for j in range(n):
-        streak = (streak + 1) * bits[:, j]
-        if scheme is Scheme.OVERLAPPING:
-            hit = streak >= k
+    def __init__(self, stat: Statistic):
+        self.longest = isinstance(stat, LongestRun)
+        self.k, self.r, self.scheme = _stat_fields(stat)
+        self.waits = self.r is not None
+
+    def start(self, rows: int, dtype) -> tuple[np.ndarray, ...]:
+        return tuple(np.zeros(rows, dtype=dtype) for _ in range(2 + self.waits))
+
+    def step(self, state: tuple, bit, j: int) -> tuple[np.ndarray, ...]:
+        streak = (state[0] + 1) * bit
+        if self.longest:
+            return streak, np.maximum(state[1], streak)
+        if self.scheme is Scheme.OVERLAPPING:
+            hit = streak >= self.k
         else:
-            hit = streak == k
-            if scheme is Scheme.NON_OVERLAPPING:
+            hit = streak == self.k
+            if self.scheme is Scheme.NON_OVERLAPPING:
                 streak = np.where(hit, 0, streak)
-        if r is None:
-            count += hit
-        else:
-            cum += hit
-            newly = ~found & (cum >= r)
-            wait[newly] = j + 1
-            found |= newly
-    if r is None:
-        return count, np.ones(rows, dtype=bool)
-    return wait, found
+        if not self.waits:
+            return streak, state[1] + hit
+        cum = state[1] + hit
+        wait = np.where((state[2] == 0) & (cum >= self.r), j + 1, state[2])
+        return streak, cum, wait
 
 
-def _chunk_probabilities(bits: np.ndarray, model: TrialModel) -> np.ndarray:
-    rows, n = bits.shape
+def _interleave(zero: np.ndarray, one: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(zero), dtype=zero.dtype)
+    out[0::2] = zero
+    out[1::2] = one
+    return out
+
+
+def _scan_tree(automaton: _Automaton, n: int, prefix: int, free: int) -> np.ndarray:
+    """The statistic on each of the 2**free sequences that share a prefix.
+
+    The n - free leading trials are the bits of ``prefix``, stepped as
+    scalars.  Each later trial becomes the new lowest-order bit: every
+    state is stepped once with a 0 and once with a 1 and the two results
+    are interleaved, so entry i belongs to the sequence whose id is
+    ``prefix << free | i``, after O(2**free) work in all.
+    """
+    state = automaton.start(1, np.int8)  # no statistic exceeds n <= 24
+    fixed = n - free
+    for j in range(fixed):
+        state = automaton.step(state, (prefix >> (fixed - 1 - j)) & 1, j)
+    for j in range(fixed, n):
+        zero = automaton.step(state, 0, j)
+        one = automaton.step(state, 1, j)
+        state = tuple(map(_interleave, zero, one))
+    return state[-1]
+
+
+def _sequence_prices(model: TrialModel, n: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Price every sequence code once, by the closed form.
+
+    A sequence's probability depends only on its code: its number of
+    successes (IID), or its first trial and its 1-1, 1-0 and 0-1
+    transition counts (Markov).  Returns (price, first_row, step): trial j
+    adds ``row[bit]`` to the code, where ``row`` is ``first_row`` for the
+    first trial and ``step[previous bit]`` after it.
+    """
     if isinstance(model, IID):
-        ones = bits.sum(axis=1, dtype=np.int64)
-        weight = np.array([model.p**i * model.q ** (n - i) for i in range(n + 1)])
-        return weight[ones]
-    start = np.where(bits[:, 0] == 1, model.p1, model.q1)
-    prev, cur = bits[:, :-1], bits[:, 1:]
-    c11 = np.sum(prev & cur, axis=1, dtype=np.int64)
-    c10 = np.sum(prev & (1 - cur), axis=1, dtype=np.int64)
-    c01 = np.sum((1 - prev) & cur, axis=1, dtype=np.int64)
-    c00 = (n - 1) - c11 - c10 - c01
-    return (
-        start
+        price = np.array([model.p**i * model.q ** (n - i) for i in range(n + 1)])
+        return price, (0, 1), ((0, 1), (0, 1))
+    first, c11, c10, c01 = np.indices((2, n, n, n)).reshape(4, -1)
+    c00 = np.maximum((n - 1) - c11 - c10 - c01, 0)  # < 0: no such sequence
+    price = (
+        np.where(first == 1, model.p1, model.q1)
         * np.power(model.alpha, c11)
         * np.power(1.0 - model.alpha, c10)
         * np.power(1.0 - model.beta, c01)
         * np.power(model.beta, c00)
     )
+    return price, (0, n**3), ((0, 1), (n, n * n))
+
+
+def _extend_codes(codes: np.ndarray, step: np.ndarray, trials: int) -> np.ndarray:
+    """Append trials to code arrays whose last axis alternates last bits."""
+    for _ in range(trials):
+        lead = codes.shape[:-1]
+        codes = (codes.reshape(lead + (-1, 2, 1)) + step).reshape(lead + (-1,))
+    return codes
+
+
+def _tree_codes(
+    n: int, prefix: int, free: int, first_row: tuple, step: tuple
+) -> np.ndarray:
+    """Code of each sequence that :func:`_scan_tree` visits, in order.
+
+    Codes add up along a sequence, so the free trials are split in two: the
+    upper half is grown from the prefix, the lower half from either value of
+    the last upper trial, and one broadcast sum joins them.
+    """
+    fixed = n - free
+    code, row = 0, first_row
+    for j in range(fixed):
+        bit = (prefix >> (fixed - 1 - j)) & 1
+        code, row = code + row[bit], step[bit]
+    step = np.array(step, dtype=np.intp)
+    upper = code + np.array(row, dtype=np.intp)
+    upper = _extend_codes(upper, step, free - free // 2 - 1)
+    if free == 1:
+        return upper
+    lower = _extend_codes(step, step, free // 2 - 1)
+    return (upper.reshape(-1, 2, 1) + lower).ravel()
 
 
 def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
@@ -178,8 +231,10 @@ def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
 
     Sequences are enumerated in chunks of at most 2**20 integer ids (the
     first trial is the highest-order bit) and accumulated in fixed order, so
-    results are bit-for-bit reproducible.  Waiting statistics put the mass
-    of sequences with no r-th occurrence into the pmf tail.
+    results are bit-for-bit reproducible.  Within a chunk the sequences are
+    walked as a prefix tree, one trial per level, in O(2**n) work overall.
+    Waiting statistics put the mass of sequences with no r-th occurrence
+    into the pmf tail.
 
     Raises
     ------
@@ -194,17 +249,20 @@ def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
             f"got n={n}; use simulate() for longer horizons"
         )
     _validate_stat(stat)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    automaton = _Automaton(stat)
+    free = min(n, _CHUNK_ROWS.bit_length() - 1)  # at most _CHUNK_ROWS per chunk
+    price, first_row, step = _sequence_prices(model, n)
     acc = np.zeros(n + 1)
     tail = 0.0
-    for lo in range(0, 1 << n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, 1 << n)
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((ids[:, None] >> shifts) & 1).astype(np.int8)
-        probs = _chunk_probabilities(bits, model)
-        values, defined = _apply_stat(bits, stat)
-        acc += np.bincount(values[defined], weights=probs[defined], minlength=n + 1)
-        tail += float(probs[~defined].sum())
+    for prefix in range(1 << (n - free)):
+        probs = np.take(price, _tree_codes(n, prefix, free, first_row, step))
+        values = _scan_tree(automaton, n, prefix, free)
+        counts = np.bincount(values, weights=probs, minlength=n + 1)
+        if automaton.waits:
+            # a wait of 0 never happened: that mass is the tail, not a value
+            counts[0] = 0.0
+            tail += float(probs[values == 0].sum())
+        acc += counts
     total = float(acc.sum()) + tail
     if abs(total - 1.0) > 1e-12:
         raise ConsistencyError(
@@ -292,9 +350,13 @@ def simulate(
     _validate_stat(stat)
     rng = stream.generator()
     bits = _draw_sequences(model, n, reps, rng)
-    values, defined = _apply_stat(bits, stat)
-    values = values.astype(np.int64)
-    values[~defined] = -1
+    automaton = _Automaton(stat)
+    state = automaton.start(reps, np.int64)
+    for j in range(n):
+        state = automaton.step(state, bits[:, j], j)
+    values = state[-1]
+    if automaton.waits:
+        values[values == 0] = -1
     return values
 
 

@@ -99,16 +99,10 @@ def _validate_query(k: int, r: int) -> None:
         raise ValueError(f"occurrence index r must be a positive integer, got {r}")
 
 
-def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
-    """Rational pgf of the trial index of the r-th counted run.
-
-    Raises ConsistencyError if either building block fails to carry unit
-    mass at z = 1 within 1e-9.  The check runs on the low-degree H and A
-    factors rather than on the composed power: a transcription fault in a
-    factor shows up as an O(1) deviation there, while evaluating the
-    expanded r-th power at z = 1 suffers den(1)**(r-1) cancellation and
-    would drown the signal in float noise for large r.
-    """
+def _checked_factors(
+    model: TrialModel, k: int, r: int, scheme: Scheme
+) -> tuple[RationalGF, RationalGF]:
+    """The H and A factors, after checking that each has unit mass at z = 1."""
     _validate_query(k, r)
     h, a = occurrence_factors(model, k, scheme)
     for name, factor in (("first-occurrence", h), ("inter-occurrence", a)):
@@ -119,6 +113,20 @@ def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
                 f"{mass - 1.0:.3e}) for k={k}, r={r}, "
                 f"scheme={Scheme.from_label(scheme).value}"
             )
+    return h, a
+
+
+def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
+    """Rational pgf of the trial index of the r-th counted run.
+
+    Raises ConsistencyError if either building block fails to carry unit
+    mass at z = 1 within 1e-9.  The check runs on the low-degree H and A
+    factors rather than on the composed power: a transcription fault in a
+    factor shows up as an O(1) deviation there, while evaluating the
+    expanded r-th power at z = 1 suffers den(1)**(r-1) cancellation and
+    would drown the signal in float noise for large r.
+    """
+    h, a = _checked_factors(model, k, r, scheme)
     return h * a ** (r - 1)
 
 
@@ -235,6 +243,21 @@ class RunMoments(NamedTuple):
 
 
 def trk_moments(model: TrialModel, k: int, r: int, scheme: Scheme) -> RunMoments:
-    """Mean and second raw moment of the r-th occurrence time, from the pgf."""
-    m = trk_pgf(model, k, r, scheme).moments_at_one()
-    return RunMoments(mean=m.mean, second_moment=m.second_factorial + m.mean)
+    """Mean and second raw moment of the r-th occurrence time.
+
+    The time is T = H + S, where S is the sum of r - 1 independent copies
+    of A, so the moments are composed from each factor's own:
+    E[T] = E[H] + (r-1) E[A], Var[S] = (r-1) Var[A] and
+    E[T^2] = E[H^2] + 2 E[H] E[S] + E[S^2].  Differentiating the expanded
+    pgf H * A**(r-1) at z = 1 instead divides by den(1)**(r-1), which
+    underflows for large r.
+    """
+    h, a = (f.moments_at_one() for f in _checked_factors(model, k, r, scheme))
+    s_mean = (r - 1) * a.mean
+    s_var = (r - 1) * (a.second_factorial + a.mean - a.mean**2)
+    return RunMoments(
+        mean=h.mean + s_mean,
+        second_moment=(h.second_factorial + h.mean)
+        + 2.0 * h.mean * s_mean
+        + (s_var + s_mean**2),
+    )

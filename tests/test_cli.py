@@ -110,6 +110,19 @@ def test_moments_fair_coin(capsys):
     assert record["payload"]["variance"] == pytest.approx(22.0, abs=1e-9)
 
 
+def test_moments_of_a_late_run(capsys):
+    # the 200th overlapping pair in fair coin flips: 6 + 199 * 4 trials on
+    # average, variance 22 + 199 * 20
+    code, out, _ = run(
+        capsys, "moments", "--iid", "0.5", "--stat", "trk", "--k", "2",
+        "--r", "200", "--scheme", "III",
+    )
+    assert code == 0
+    payload = parse(out)["payload"]
+    assert payload["mean"] == pytest.approx(802.0, rel=1e-12)
+    assert payload["variance"] == pytest.approx(4002.0, rel=1e-9)
+
+
 def test_fib_values(capsys):
     code, out, _ = run(capsys, "fib", "--k", "3", "--n", "9")
     assert code == 0
@@ -261,6 +274,16 @@ def test_automatic_horizon_beyond_the_cap_is_a_clean_error(capsys):
         capsys, "pmf", "--iid", "0.1", "--stat", "vk", "--k", "8", "--vmax", "50"
     )
     assert code == 0 and parse(out)["parameters"]["vmax"] == 50
+
+
+def test_automatic_rth_run_horizon_beyond_the_cap_is_a_clean_error(capsys):
+    code, out, err = run(
+        capsys, "pmf", "--iid", "0.2", "--stat", "trk", "--k", "6", "--r", "20"
+    )
+    assert code == 1
+    assert out == ""
+    assert "10789780 trials" in err and "--vmax" in err
+    assert "Traceback" not in err
 
 
 def test_main_releases_the_streams_it_wrote_to():

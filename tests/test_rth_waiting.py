@@ -112,6 +112,17 @@ def test_independent_trial_mean_recursions(p, k, r):
     assert math.isclose(miii, ev + (r - 1) * (1 + q * ev), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("r", [5, 10, 30, 200])
+def test_moments_stay_exact_for_many_runs(r):
+    # overlapping pairs in fair coin flips: the first takes E = 6, Var = 22
+    # trials; each later one takes one success, or a failure and a fresh
+    # wait, so E = 4 and Var = 20 per run
+    mom = trk_moments(IID(0.5), 2, r, Scheme.OVERLAPPING)
+    mean, var = 6 + 4 * (r - 1), 22 + 20 * (r - 1)
+    assert math.isclose(mom.mean, mean, rel_tol=1e-12)
+    assert math.isclose(mom.second_moment, var + mean**2, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_moments_match_series_accumulation(model, scheme):
