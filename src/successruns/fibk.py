@@ -70,12 +70,21 @@ def _charpoly_derivative(k: int, x: complex) -> complex:
     return acc
 
 
+def _term_scale(k: int, x: complex) -> float:
+    """sum_{i<=k} |x|^i: the size of the terms the polynomial's value sums."""
+    r = abs(x)
+    return sum(r**i for i in range(k + 1))
+
+
 def char_roots(k: int) -> np.ndarray:
     """All k roots of x^k - x^{k-1} - ... - 1, dominant real root first.
 
     The dominant root is real, lies in (1, 2), and is polished by Newton
-    iteration to residual below 1e-13.  Remaining roots follow in a fixed
-    deterministic order.  Raises if any root fails the residual check.
+    iteration to residual below 1e-13 * sum_{i<=k} |x|^i.  Evaluating the
+    polynomial rounds each of its terms, so that sum sets the smallest
+    residual float64 can reach: near x = 2 it grows like 2^(k+1).
+    Remaining roots follow in a fixed deterministic order.  Raises if any
+    root fails its residual check, 1e-10 on the same scale.
     """
     if not 2 <= k <= _MAX_ORDER:
         raise ValueError(f"order k must be in [2, {_MAX_ORDER}], got {k}")
@@ -88,11 +97,11 @@ def char_roots(k: int) -> np.ndarray:
     dom = float(roots[real_mask][0].real)
     for _ in range(100):
         f = _charpoly_value(k, dom).real
-        if abs(f) < 1e-13:
+        if abs(f) < 1e-13 * _term_scale(k, dom):
             break
         fp = _charpoly_derivative(k, dom).real
         dom -= f / fp
-    if abs(_charpoly_value(k, dom)) >= 1e-13:
+    if abs(_charpoly_value(k, dom)) >= 1e-13 * _term_scale(k, dom):
         raise ArithmeticError(f"Newton polish of the dominant root failed for k={k}")
 
     others = roots[~real_mask]
@@ -100,10 +109,13 @@ def char_roots(k: int) -> np.ndarray:
     others = others[order][::-1]
     out = np.concatenate(([complex(dom)], others))
 
-    residuals = np.abs([_charpoly_value(k, z) for z in out])
+    residuals = np.array(
+        [abs(_charpoly_value(k, z)) / _term_scale(k, z) for z in out]
+    )
     if residuals.max() >= 1e-10:
         raise ArithmeticError(
-            f"characteristic root residual {residuals.max():.3e} too large for k={k}"
+            f"characteristic root residual {residuals.max():.3e} (relative to "
+            f"the polynomial's term sizes) too large for k={k}"
         )
     return out
 

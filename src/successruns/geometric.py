@@ -164,6 +164,16 @@ def default_vmax(model: TrialModel, k: int) -> int:
     return vmax
 
 
+def _vk_probs(model: TrialModel, k: int, vmax: int) -> np.ndarray:
+    """P(V = v) for v = k..vmax, the table :func:`vk_pmf` wraps.
+
+    The likelihood reads it directly: it needs n entries of the table, not
+    a checked :class:`Pmf`.
+    """
+    k = _validate_k(k)
+    return _run_prefix_prob(model, k) * _h_sequence(model, k, vmax - k + 1)
+
+
 def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
     """Distribution of the trial index at which the first k-run completes.
 
@@ -185,8 +195,7 @@ def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
         vmax = default_vmax(model, k)
     if vmax < k:
         return Pmf(offset=k, probs=np.zeros(0), tail=1.0)
-    h = _h_sequence(model, k, vmax - k + 1)
-    probs = _run_prefix_prob(model, k) * h
+    probs = _vk_probs(model, k, vmax)
     return Pmf(offset=k, probs=probs, tail=1.0 - float(probs.sum()))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometric import vk_pmf
+from .geometric import _vk_probs
 from .models import IID, Markov
 from .oracle import SeededStream
 
@@ -55,12 +55,7 @@ def loglik_vk(model, k: int, sample) -> float:
     finite-precision pmf can legitimately produce deep in the tail).
     """
     arr = _as_sample(sample, k)
-    pm = vk_pmf(model, k, vmax=int(arr.max()))
-    idx = arr - pm.offset
-    inside = (idx >= 0) & (idx < len(pm.probs))
-    if not np.all(inside):
-        return -math.inf
-    probs = pm.probs[idx]
+    probs = _vk_probs(model, k, int(arr.max()))[arr - k]
     if np.any(probs <= 0.0):
         return -math.inf
     return float(np.log(probs).sum())
@@ -103,11 +98,11 @@ def nelder_mead(
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
         spread_f = fvals[-1] - fvals[0]
-        spread_x = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
+        spread_x = np.abs(np.array(simplex[1:]) - simplex[0]).max()
         if spread_f < tol_f or spread_x < tol_x:
             return NMResult(simplex[0], fvals[0], iteration, True)
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = np.add.reduce(np.array(simplex[:-1]), axis=0) / dim
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_r = f(reflected)

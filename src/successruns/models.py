@@ -93,14 +93,19 @@ class Pmf:
 
     def __init__(self, offset: int, probs, tail: float = 0.0):
         self.offset = int(offset)
-        arr = np.asarray(probs, dtype=np.float64).copy()
+        arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("probs must be one-dimensional")
-        bad = arr < -1e-12
-        if bad.any():
-            worst = float(arr[bad].min())
-            raise ValueError(f"pmf entry {worst} below -1e-12; refusing to clamp")
-        np.clip(arr, 0.0, None, out=arr)
+        worst = arr.min() if arr.size else 1.0
+        if not worst > 0.0:  # a zero (perhaps -0.0), negative or NaN entry
+            if not worst >= -1e-12:  # a NaN minimum can hide a negative entry
+                bad = arr < -1e-12
+                if bad.any():
+                    worst = float(arr[bad].min())
+                    raise ValueError(
+                        f"pmf entry {worst} below -1e-12; refusing to clamp"
+                    )
+            np.clip(arr, 0.0, None, out=arr)
         self.probs = arr
         if tail < -1e-12:
             raise ValueError(f"tail mass {tail} below -1e-12")

@@ -12,6 +12,7 @@ import pytest
 from successruns import checks_iid
 from successruns.checks import vk_row
 from successruns.cli import main
+from successruns.fibk import fib_k
 
 
 def run(capsys, *argv):
@@ -140,6 +141,15 @@ def test_fib_closed_form_reports_residue(capsys):
     payload = parse(out)["payload"]
     assert payload["value"] == 102334155
     assert payload["residue"] < 1e-4
+
+
+@pytest.mark.parametrize("method", ["dresden", "spickerman"])
+def test_fib_closed_form_at_the_largest_order(capsys, method):
+    code, out, err = run(
+        capsys, "fib", "--k", "32", "--n", "40", "--method", method
+    )
+    assert code == 0, err
+    assert parse(out)["payload"]["value"] == fib_k(32, 40)
 
 
 def test_fib_overflow_is_an_error_not_a_crash(capsys):

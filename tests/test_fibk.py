@@ -76,3 +76,26 @@ def test_closed_forms_agree_with_each_other():
             d = fib_k_dresden(k, n)
             s = fib_k_spickerman(k, n)
             assert abs(d - s) <= 1e-6 * max(1.0, abs(d))
+
+
+@pytest.mark.parametrize("closed", [fib_k_dresden, fib_k_spickerman])
+def test_closed_forms_cover_every_order(closed):
+    # every order fib_k accepts, every index whose value fits in int64
+    for k in range(2, 33):
+        n = 1
+        while True:
+            try:
+                exact = fib_k(k, n)
+            except OverflowError:
+                break
+            assert abs(closed(k, n) - exact) <= 1e-12 * max(1, exact), (k, n)
+            n += 1
+        assert n > 60
+
+
+@pytest.mark.parametrize("k", [13, 20, 32])
+def test_char_roots_of_high_order(k):
+    roots = char_roots(k)
+    assert len(roots) == k
+    assert roots[0] == max(abs(z) for z in roots)  # real, and listed first
+    assert 2.0 - 2.0 ** (1 - k) < roots[0].real < 2.0

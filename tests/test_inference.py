@@ -5,9 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from successruns.inference import FitResult, bootstrap_se, fit_iid, fit_markov
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from successruns import inference
+from successruns.geometric import vk_pmf
+from successruns.inference import (
+    FitResult,
+    _as_sample,
+    bootstrap_se,
+    fit_iid,
+    fit_markov,
+    loglik_vk,
+)
 from successruns.models import IID, Markov
 from successruns.oracle import SeededStream, sample_waiting_times
+
+
+def _loglik_via_pmf(model, k: int, sample) -> float:
+    """The likelihood as it read a full Pmf from vk_pmf (kept verbatim)."""
+    arr = _as_sample(sample, k)
+    pm = vk_pmf(model, k, vmax=int(arr.max()))
+    idx = arr - pm.offset
+    inside = (idx >= 0) & (idx < len(pm.probs))
+    if not np.all(inside):
+        return -math.inf
+    probs = pm.probs[idx]
+    if np.any(probs <= 0.0):
+        return -math.inf
+    return float(np.log(probs).sum())
+
+
+LOGLIK_MODELS = [
+    IID(0.3),
+    IID(0.72),
+    Markov(0.4, 0.6, 0.3),
+    Markov.stationary_start(0.7, 0.45),
+]
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +126,74 @@ def test_rejects_bad_input():
         bootstrap_se(np.array([3, 4, 5], dtype=np.int64), 2, "iid", 1, SeededStream(1))
     with pytest.raises(ValueError):
         bootstrap_se(np.array([3, 4, 5], dtype=np.int64), 2, "weibull", 8, SeededStream(1))
+
+
+@pytest.mark.parametrize("model", LOGLIK_MODELS, ids=repr)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_loglik_equals_the_pmf_route_bit_for_bit(model, k):
+    drawn = sample_waiting_times(model, k, 40, SeededStream(100 + k))
+    for sample in (drawn, np.concatenate(([k, k], drawn, [k])), np.array([k])):
+        want = _loglik_via_pmf(model, k, sample)
+        assert loglik_vk(model, k, sample) == want
+        assert math.isfinite(want)
+
+
+@pytest.mark.parametrize(
+    "model,k,sample",
+    [
+        (IID(0.99), 1, [1, 2, 400]),  # q^399 underflows
+        (Markov.stationary_start(0.5, 0.01), 1, [1, 3, 300]),  # beta^298
+        (IID(0.999), 2, [2, 5, 400]),  # about 0.032^398
+    ],
+)
+def test_loglik_underflow_is_minus_infinity_on_both_routes(model, k, sample):
+    assert _loglik_via_pmf(model, k, sample) == -math.inf
+    assert loglik_vk(model, k, sample) == -math.inf
+
+
+def test_loglik_rejects_what_the_pmf_route_rejected():
+    with pytest.raises(ValueError, match="run length k"):
+        loglik_vk(IID(0.5), 0, [1, 2])
+    with pytest.raises(ValueError, match="below k=3"):
+        loglik_vk(IID(0.5), 3, [2, 5])
+
+
+def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
+    iid_sample = sample_waiting_times(IID(0.55), 3, 120, SeededStream(31))
+    chain = Markov.stationary_start(0.6, 0.4)
+    markov_sample = sample_waiting_times(chain, 2, 120, SeededStream(32))
+
+    def run_all():
+        return (
+            fit_iid(iid_sample, 3),
+            fit_markov(iid_sample, 3),
+            fit_markov(markov_sample, 2),
+            bootstrap_se(iid_sample, 3, "iid", 12, SeededStream(33)),
+            bootstrap_se(markov_sample, 2, "markov", 12, SeededStream(34)),
+        )
+
+    direct = run_all()
+    monkeypatch.setattr(inference, "loglik_vk", _loglik_via_pmf)
+    assert run_all() == direct
+
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _simplices(draw):
+    dim = draw(st.sampled_from([1, 2]))  # 2 or 3 vertices
+    return [np.array(draw(st.lists(_coord, min_size=dim, max_size=dim)))
+            for _ in range(dim + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simplices())
+def test_simplex_bookkeeping_matches_the_per_vertex_loops(simplex):
+    dim = simplex[0].size
+    old_spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
+    new_spread = np.abs(np.array(simplex[1:]) - simplex[0]).max()
+    assert new_spread.tobytes() == old_spread.tobytes()
+    old_centroid = np.mean(simplex[:-1], axis=0)
+    new_centroid = np.add.reduce(np.array(simplex[:-1]), axis=0) / dim
+    assert new_centroid.tobytes() == old_centroid.tobytes()

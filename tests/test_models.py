@@ -105,3 +105,34 @@ def test_tv_distance_counts_tail_gap():
 def test_pmf_probs_are_numpy():
     pm = Pmf(0, (0.5, 0.5))
     assert isinstance(pm.probs, np.ndarray)
+
+
+def test_pmf_clamp_boundary():
+    pm = Pmf(0, [1.0, -1e-12])  # exactly at the bound: clamped
+    assert pm.probs[1] == 0.0 and not np.signbit(pm.probs[1])
+    with pytest.raises(ValueError, match=r"pmf entry -1.1e-12 below -1e-12"):
+        Pmf(0, [1.0, -1.1e-12])
+    with pytest.raises(ValueError, match="pmf entry"):  # a NaN cannot hide it
+        Pmf(0, [1.0, float("nan"), -0.5])
+
+
+def test_pmf_negative_zero_is_cleared():
+    pm = Pmf(0, [0.5, -0.0, 0.5])
+    assert not np.signbit(pm.probs).any()
+
+
+def test_pmf_empty_table_and_tail_bound():
+    pm = Pmf(3, [], tail=1.0)
+    assert len(pm.probs) == 0 and pm.tail == 1.0 and pm.support_end == 2
+    with pytest.raises(ValueError, match="pmf total"):
+        Pmf(3, np.zeros(0))
+    assert Pmf(0, [1.0 + 1e-12], tail=-1e-12).tail == 0.0
+    with pytest.raises(ValueError, match="tail mass"):
+        Pmf(0, [1.0], tail=-1.1e-12)
+
+
+def test_pmf_copies_its_input():
+    src = np.array([0.5, 0.5])
+    pm = Pmf(0, src)
+    src[0] = 0.0
+    assert pm.probs[0] == 0.5
