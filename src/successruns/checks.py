@@ -343,9 +343,9 @@ def counts_rows(
     model: TrialModel, k: int, scheme: Scheme, nmax: int
 ) -> tuple[Pmf, ...]:
     """Run-count distributions N_0..N_nmax via waiting-time inversion."""
-    from .run_counts import counts_pmf
+    from .run_counts import _count_laws
 
-    return tuple(counts_pmf(model, n, k, scheme) for n in range(nmax + 1))
+    return tuple(_count_laws(model, k, scheme, range(nmax + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,11 @@ def loglik_vk(model, k: int, sample) -> float:
     Returns -inf when any observation carries zero probability (which a
     finite-precision pmf can legitimately produce deep in the tail).
     """
-    arr = _as_sample(sample, k)
+    return _checked_loglik(model, k, _as_sample(sample, k))
+
+
+def _checked_loglik(model, k: int, arr: np.ndarray) -> float:
+    """loglik_vk of a sample that has already passed _as_sample."""
     probs = _vk_probs(model, k, int(arr.max()))[arr - k]
     if np.any(probs <= 0.0):
         return -math.inf
@@ -168,7 +172,7 @@ def fit_iid(sample, k: int, max_iter: int = 500) -> FitResult:
     arr = _as_sample(sample, k)
 
     def objective(x: np.ndarray) -> float:
-        return -loglik_vk(IID(expit(float(x[0]))), k, arr)
+        return -_checked_loglik(IID(expit(float(x[0]))), k, arr)
 
     start = np.array([logit(_moment_start(arr, k))])
     res = nelder_mead(objective, start, max_iter=max_iter)
@@ -193,7 +197,7 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
     def objective(x: np.ndarray) -> float:
         alpha = expit(float(x[0]))
         beta = expit(float(x[1]))
-        return -loglik_vk(Markov.stationary_start(alpha, beta), k, arr)
+        return -_checked_loglik(Markov.stationary_start(alpha, beta), k, arr)
 
     res = nelder_mead(objective, np.zeros(2), max_iter=max_iter)
     alpha = expit(float(res.x[0]))

@@ -99,12 +99,10 @@ def _validate_query(k: int, r: int) -> None:
         raise ValueError(f"occurrence index r must be a positive integer, got {r}")
 
 
-def _checked_factors(
-    model: TrialModel, k: int, r: int, scheme: Scheme
-) -> tuple[RationalGF, RationalGF]:
-    """The H and A factors, after checking that each has unit mass at z = 1."""
-    _validate_query(k, r)
-    h, a = occurrence_factors(model, k, scheme)
+def _check_mass(
+    h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme
+) -> None:
+    """Raise ConsistencyError unless H and A each have unit mass at z = 1."""
     for name, factor in (("first-occurrence", h), ("inter-occurrence", a)):
         mass = factor(1.0)
         if abs(mass - 1.0) > 1e-9:
@@ -113,6 +111,15 @@ def _checked_factors(
                 f"{mass - 1.0:.3e}) for k={k}, r={r}, "
                 f"scheme={Scheme.from_label(scheme).value}"
             )
+
+
+def _checked_factors(
+    model: TrialModel, k: int, r: int, scheme: Scheme
+) -> tuple[RationalGF, RationalGF]:
+    """The H and A factors, after checking that each has unit mass at z = 1."""
+    _validate_query(k, r)
+    h, a = occurrence_factors(model, k, scheme)
+    _check_mass(h, a, k, r, scheme)
     return h, a
 
 
@@ -146,12 +153,28 @@ def min_support(model: TrialModel, k: int, r: int, scheme: Scheme) -> int:
     """
     _validate_query(k, r)
     h, a = occurrence_factors(model, k, scheme)
+    return _support_start(h, a, r)
+
+
+def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
     return _lowest_degree(h.num) + (r - 1) * _lowest_degree(a.num)
 
 
-def _pmf_from_series(coeffs: list[float], offset: int) -> Pmf:
-    probs = np.asarray(coeffs[offset:], dtype=np.float64)
-    return Pmf(offset=offset, probs=probs, tail=1.0 - float(probs.sum()))
+def _rth_series(
+    h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme, nmax: int
+) -> tuple[int, np.ndarray | None]:
+    """Offset and raw coefficients offset..nmax of H * A**(r-1).
+
+    The coefficients are None when the support starts beyond nmax; then no
+    series is extracted and the factors' mass is not checked.  The series is
+    causal, so its first n + 1 coefficients are the same for every nmax >= n.
+    """
+    offset = _support_start(h, a, r)
+    if offset > nmax:
+        return offset, None
+    _check_mass(h, a, k, r, scheme)
+    coeffs = (h * a ** (r - 1)).series(nmax)
+    return offset, np.asarray(coeffs[offset:], dtype=np.float64)
 
 
 def trk_pmf(
@@ -163,11 +186,12 @@ def trk_pmf(
     by an independent recursion; disagreement beyond 1e-9 between the two is
     a defect (see :func:`crosscheck_pmf_routes`).
     """
-    offset = min_support(model, k, r, scheme)
-    if offset > nmax:
+    _validate_query(k, r)
+    h, a = occurrence_factors(model, k, scheme)
+    offset, probs = _rth_series(h, a, k, r, scheme, nmax)
+    if probs is None:
         return Pmf(offset=offset, probs=np.zeros(0), tail=1.0)
-    g = trk_pgf(model, k, r, scheme)
-    return _pmf_from_series(g.series(nmax), offset)
+    return Pmf(offset=offset, probs=probs, tail=1.0 - float(probs.sum()))
 
 
 def trk_pmf_recursive(
@@ -189,7 +213,7 @@ def trk_pmf_recursive(
     upto = min(nmax, first.support_end)
     if upto >= first.offset:
         h_prev[first.offset : upto + 1] = first.probs[: upto - first.offset + 1]
-    _, a = occurrence_factors(model, k, scheme)
+    h, a = occurrence_factors(model, k, scheme)
     num_a, den_a = a.num.coeffs, a.den.coeffs
     for _ in range(r - 1):
         h_cur = np.zeros(nmax + 1)
@@ -202,7 +226,7 @@ def trk_pmf_recursive(
                 acc -= den_a[j] * h_cur[n - j]
             h_cur[n] = acc
         h_prev = h_cur
-    offset = min_support(model, k, r, scheme)
+    offset = _support_start(h, a, r)
     if offset > nmax:
         return Pmf(offset=offset, probs=np.zeros(0), tail=1.0)
     probs = h_prev[offset:]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .models import Pmf, TrialModel
 from .polyseries import Poly
-from .rth_waiting import RunMoments, Scheme, occurrence_factors, trk_pmf
+from .rth_waiting import RunMoments, Scheme, _rth_series, occurrence_factors
 
 
 def _as_bits(bits) -> list[int]:
@@ -85,14 +85,75 @@ def first_occurrence_index(bits, k: int, r: int, scheme: Scheme) -> int | None:
 def max_count(n: int, k: int, scheme: Scheme) -> int:
     """Largest count achievable in n trials.
 
-    All successes maximize the reset and moving-window counters, but the
-    once-per-block counter is maximized by blocks of exactly k successes
-    separated by single failures; the larger of the two patterns is correct
-    for every scheme.
+    All successes maximize the reset and moving-window counters: n // k
+    completed resets and n - k + 1 windows.  The once-per-block counter is
+    maximized by blocks of exactly k successes separated by single failures,
+    one block per k + 1 trials with the last failure left off, so
+    (n + 1) // (k + 1).
     """
-    solid = count_runs([1] * n, k, scheme)
-    spaced = count_runs((([1] * k + [0]) * (n // (k + 1) + 1))[:n], k, scheme)
-    return max(solid, spaced)
+    if k < 1:
+        raise ValueError(f"run length k must be >= 1, got {k}")
+    scheme = Scheme.from_label(scheme)
+    if scheme is Scheme.NON_OVERLAPPING:
+        count = n // k
+    elif scheme is Scheme.AT_LEAST:
+        count = (n + 1) // (k + 1)
+    else:
+        count = n - k + 1
+    return max(count, 0)
+
+
+def _prefix_mass(raw: np.ndarray, probs: np.ndarray, m: int) -> float:
+    """Sum of probs[:m], after the tail and total checks of Pmf(probs[:m]).
+
+    probs is raw with its entries in [-1e-12, 0) clamped to 0, as Pmf holds
+    it; the tail is 1 minus the unclamped sum, as trk_pmf passes it.
+    """
+    mass = float(probs[:m].sum())
+    tail = 1.0 - (float(raw[:m].sum()) if raw is not probs else mass)
+    if tail < -1e-12:
+        raise ValueError(f"tail mass {tail} below -1e-12")
+    total = mass + max(0.0, tail)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
+    return mass
+
+
+def _count_laws(
+    model: TrialModel, k: int, scheme: Scheme, horizons: range
+) -> list[Pmf]:
+    """Laws of N_n for every n in horizons, via waiting-time inversion.
+
+    P(N_n = x) = P(T_x <= n) - P(T_{x+1} <= n), with T_x the x-th occurrence
+    time.  The series of T_x's pgf H * A**(x-1) is causal, so it is extracted
+    once, to the last horizon, and P(T_x <= n) is the sum of its first
+    n - offset + 1 entries: the prefix that trk_pmf(..., nmax=n) sums, under
+    the same entry, tail and total checks.
+    """
+    if not horizons:
+        return []
+    scheme = Scheme.from_label(scheme)
+    xmaxes = [max_count(n, k, scheme) for n in horizons]
+    h, a = occurrence_factors(model, k, scheme)
+    nmax = horizons[-1]
+    cdfs = np.zeros((len(horizons), xmaxes[-1] + 2))  # [i, x-1] = P(T_x <= n_i)
+    for x in range(1, xmaxes[-1] + 2):
+        offset, raw = _rth_series(h, a, k, x, scheme, nmax)
+        if raw is None:
+            continue
+        probs = Pmf(offset=offset, probs=raw, tail=1.0 - float(raw.sum())).probs
+        if not (raw < 0.0).any():
+            raw = probs  # nothing was clamped: the two sums agree
+        for i, n in enumerate(horizons):
+            if offset <= n and x <= xmaxes[i] + 1:
+                cdfs[i, x - 1] = _prefix_mass(raw, probs, n - offset + 1)
+    laws = []
+    for xmax, cdf in zip(xmaxes, cdfs):
+        probs = np.empty(xmax + 1)
+        probs[0] = 1.0 - cdf[0]
+        probs[1:] = cdf[:xmax] - cdf[1 : xmax + 1]
+        laws.append(Pmf(offset=0, probs=probs))
+    return laws
 
 
 def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
@@ -103,17 +164,7 @@ def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
     """
     if n < 0:
         raise ValueError(f"horizon n must be >= 0, got {n}")
-    scheme = Scheme.from_label(scheme)
-    xmax = max_count(n, k, scheme)
-    cdf = np.zeros(xmax + 2)  # cdf[x-1] = P(T_x <= n) for x = 1..xmax+1
-    for x in range(1, xmax + 2):
-        pm = trk_pmf(model, k, x, scheme, nmax=n)
-        cdf[x - 1] = float(pm.probs.sum())
-    probs = np.zeros(xmax + 1)
-    probs[0] = 1.0 - cdf[0]
-    for x in range(1, xmax + 1):
-        probs[x] = cdf[x - 1] - cdf[x]
-    return Pmf(offset=0, probs=probs)
+    return _count_laws(model, k, scheme, range(n, n + 1))[0]
 
 
 def count_polynomials(

@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import product
 
 import pytest
 
@@ -9,10 +10,13 @@ from successruns.checks import (
     TOL,
     CheckResult,
     EXPECTED_STATUS,
+    counts_rows,
     diff_expected,
     run_all,
     write_ledger,
 )
+from successruns.models import IID, Markov
+from successruns.run_counts import counts_pmf
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,24 @@ def test_confirmed_entries_dominate(results):
     errata = sum(1 for r in results if r.status == "ERRATUM")
     assert confirmed == 82
     assert errata == 51
+
+
+def test_count_tables_hold_the_laws_counts_pmf_gives():
+    # one series per count serves every horizon of the table, and each row
+    # is the law counts_pmf computes at that horizon alone
+    for model, k, scheme in product(
+        (IID(0.5), Markov(0.62, 0.55, 0.35)), (1, 3), ("I", "II", "III")
+    ):
+        rows = counts_rows(model, k, scheme, 14)
+        for n, row in enumerate(rows):
+            alone = counts_pmf(model, n, k, scheme)
+            assert row.probs.tobytes() == alone.probs.tobytes()
+            assert (row.offset, row.tail) == (alone.offset, alone.tail)
+
+
+def test_count_tables_fail_where_a_horizon_fails():
+    with pytest.raises(ValueError, match="pmf entry"):
+        counts_rows.__wrapped__(IID(0.5), 2, "III", 105)
 
 
 def test_drift_detection_reports_all_directions():

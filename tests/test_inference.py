@@ -172,9 +172,16 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
             bootstrap_se(markov_sample, 2, "markov", 12, SeededStream(34)),
         )
 
+    calls = []
+
+    def old_route(model, k, sample):
+        calls.append(k)
+        return _loglik_via_pmf(model, k, sample)
+
     direct = run_all()
-    monkeypatch.setattr(inference, "loglik_vk", _loglik_via_pmf)
+    monkeypatch.setattr(inference, "_checked_loglik", old_route)
     assert run_all() == direct
+    assert len(calls) > 1000  # the fitters really ran the replaced route
 
 
 _coord = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)

@@ -6,8 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from successruns.models import IID, Markov, tv_distance
-from successruns.rth_waiting import Scheme
+from successruns.checks import counts_rows
+from successruns.models import IID, Markov, Pmf, tv_distance
+from successruns.rth_waiting import Scheme, trk_pmf
 from successruns.run_counts import (
     count_polynomials,
     count_runs,
@@ -47,6 +48,44 @@ def test_first_occurrence_index():
     assert first_occurrence_index(bits, 2, 3, Scheme.AT_LEAST) is None
     with pytest.raises(ValueError):
         first_occurrence_index(bits, 2, 0, Scheme.AT_LEAST)
+
+
+def _max_count_by_patterns(n, k, scheme):
+    """max_count as it ran both patterns through the counter (kept verbatim)."""
+    solid = count_runs([1] * n, k, scheme)
+    spaced = count_runs((([1] * k + [0]) * (n // (k + 1) + 1))[:n], k, scheme)
+    return max(solid, spaced)
+
+
+def _counts_pmf_per_n(model, n, k, scheme):
+    """counts_pmf as it extracted every series afresh at n (kept verbatim)."""
+    if n < 0:
+        raise ValueError(f"horizon n must be >= 0, got {n}")
+    scheme = Scheme.from_label(scheme)
+    xmax = max_count(n, k, scheme)
+    cdf = np.zeros(xmax + 2)  # cdf[x-1] = P(T_x <= n) for x = 1..xmax+1
+    for x in range(1, xmax + 2):
+        pm = trk_pmf(model, k, x, scheme, nmax=n)
+        cdf[x - 1] = float(pm.probs.sum())
+    probs = np.zeros(xmax + 1)
+    probs[0] = 1.0 - cdf[0]
+    for x in range(1, xmax + 1):
+        probs[x] = cdf[x - 1] - cdf[x]
+    return Pmf(offset=0, probs=probs)
+
+
+def _counts_rows_per_n(model, k, scheme, nmax):
+    """checks.counts_rows as it called counts_pmf once per n (kept verbatim)."""
+    return tuple(_counts_pmf_per_n(model, n, k, scheme) for n in range(nmax + 1))
+
+
+def _same_law(a, b):
+    return (a.offset, a.probs.tobytes(), a.tail) == (b.offset, b.probs.tobytes(), b.tail)
+
+
+def test_max_count_closed_form_matches_the_patterns():
+    for n, k, scheme in product(range(301), range(1, 13), SCHEMES):
+        assert max_count(n, k, scheme) == _max_count_by_patterns(n, k, scheme)
 
 
 def test_max_count_closed_patterns():
@@ -128,3 +167,29 @@ def test_rejects_bad_arguments():
         counts_pmf(IID(0.5), -1, 2, Scheme.NON_OVERLAPPING)
     with pytest.raises(ValueError):
         count_runs([1, 0], 0, Scheme.NON_OVERLAPPING)
+
+
+@pytest.mark.parametrize("model", [IID(0.37), Markov(0.45, 0.3, 0.6)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_all_horizons_equal_the_per_horizon_route_bit_for_bit(model, k):
+    # rows below a count's first possible trial are included: at nmax 0, 1
+    # and 2 most counts cannot occur yet
+    for scheme, nmax in product(SCHEMES, (0, 1, 2, 26)):
+        want = _counts_rows_per_n(model, k, scheme, nmax)
+        got = counts_rows.__wrapped__(model, k, scheme, nmax)
+        assert len(got) == nmax + 1
+        assert all(_same_law(a, b) for a, b in zip(got, want))
+        assert _same_law(counts_pmf(model, nmax, k, scheme), want[-1])
+
+
+def test_a_law_that_failed_per_horizon_still_fails():
+    with pytest.raises(ValueError, match="pmf entry"):
+        _counts_pmf_per_n(IID(0.5), 105, 2, "III")
+    with pytest.raises(ValueError, match="pmf entry"):
+        counts_pmf(IID(0.5), 105, 2, "III")
+
+
+def test_known_drift_at_a_long_horizon_is_unchanged():
+    # the exact mean is 24.75; the waiting-time inversion cancels in float64
+    # at this horizon, and this pins that it still gives the same law
+    assert counts_pmf(IID(0.5), 100, 2, "III").mean() == 24.75853747793034
