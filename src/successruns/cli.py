@@ -18,7 +18,7 @@ import numpy as np
 from .checks import diff_expected, run_all, write_ledger
 from .fibk import fib_k, fib_k_dresden, fib_k_spickerman
 from .geometric import MAX_HORIZON, default_vmax, longest_run_pmf, vk_pmf
-from .inference import bootstrap_se, fit_iid, fit_markov
+from .inference import _bootstrap, fit_iid, fit_markov
 from .models import IID, Markov, Pmf, tv_distance
 from .oracle import (
     MAX_ENUM_TRIALS,
@@ -300,16 +300,22 @@ def _read_sample(path: str) -> list[int]:
     except OSError as exc:
         raise click.ClickException(f"cannot read sample file: {exc}")
     values = []
+    int64 = np.iinfo(np.int64)
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         try:
-            values.append(int(text))
+            value = int(text)
         except ValueError:
             raise click.ClickException(
                 f"{path}:{lineno}: expected one integer per line, got {text!r}"
             )
+        if not int64.min <= value <= int64.max:
+            raise click.ClickException(
+                f"{path}:{lineno}: waiting time {text} does not fit a 64-bit integer"
+            )
+        values.append(value)
     if not values:
         raise click.ClickException(f"{path}: no observations")
     return values
@@ -419,11 +425,10 @@ def cmd_fit(
     fitter = fit_iid if family == "iid" else fit_markov
     try:
         result = fitter(sample, k, max_iter=max_iter)
-        errors = (
-            bootstrap_se(sample, k, family, bootstrap, SeededStream(seed + 1))
-            if bootstrap
-            else None
-        )
+        if bootstrap:
+            errors, failures = _bootstrap(
+                sample, k, family, bootstrap, SeededStream(seed + 1)
+            )
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     payload = {
@@ -432,10 +437,12 @@ def cmd_fit(
         "converged": result.converged,
         "iterations": result.iterations,
         "standard_errors": (
-            {key: errors[key] for key in sorted(errors)} if errors else None
+            {key: errors[key] for key in sorted(errors)} if bootstrap else None
         ),
         "n_obs": int(sample.size),
     }
+    if bootstrap:
+        payload["bootstrap_failures"] = failures
     OutputRecord("fit", params, payload).emit(fmt)
 
 

@@ -59,8 +59,9 @@ def _seeds(model: TrialModel) -> np.ndarray:
     return np.array([model.p1, model.q1 * (1.0 - model.beta)])
 
 
-def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
-    """First `count` values h_1..h_count of the auxiliary recursion.
+class _HPlan:
+    """The h recursion of :func:`_h_sequence`, laid out once for every
+    model of one family at one (k, count).
 
     Only lags that reach back to h_1 matter, so d = min(k, count - 1) of
     them are kept.  A matrix M maps the last d values to the next B, and
@@ -69,29 +70,65 @@ def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
     give the next b rows.  B, a power of two near 2 sqrt(count), keeps both
     stages near O(count d) work in O(sqrt(count)) numpy calls.  Every
     weight is non-negative, so no step cancels.
+
+    The plan holds M, the window buffer and the view that every product
+    reads and writes, so :meth:`run` only writes a model's lags and seeds
+    and issues the products.  Each run overwrites the buffers, including
+    the array the previous run returned.
     """
-    if count < 1:
-        return np.zeros(0)
-    seeds = _seeds(model)[:count]
-    if count == len(seeds):
-        return seeds
-    d = min(k, count - 1)
-    block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // d))
-    mat = np.empty((1 << (block - 1).bit_length(), d))
-    mat[0] = _lags(model, d)[::-1]  # h_t from the window h_{t-d..t-1}
-    b = 1
-    while b < block:
-        u = min(b, d)  # the moved window's last u values are rows b-u..b-1
-        np.matmul(mat[:b, d - u :], mat[b - u : b], out=mat[b : 2 * b])
-        if b < d:  # and its first d-b values are the old window's last
-            mat[b : 2 * b, b:] += mat[:b, : d - b]
-        b *= 2
-    x = np.zeros(d + count)  # d zeros stand for h_v, v <= 0
-    x[d : d + len(seeds)] = seeds
-    for t in range(len(seeds), count, b):
-        rows = min(b, count - t)
-        x[d + t : d + t + rows] = mat[:rows] @ x[t : t + d]
-    return x[d:]
+
+    def __init__(self, family: type, k: int, count: int):
+        self._count = max(count, 0)
+        n_seeds = min(1 if family is IID else 2, self._count)  # len(_seeds)
+        self._h = None
+        if self._count == n_seeds:
+            return
+        d = self._d = min(k, count - 1)
+        block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // d))
+        mat = np.empty((1 << (block - 1).bit_length(), d))
+        self._lag_row = mat[0, ::-1]  # h_t from the window h_{t-d..t-1}
+        self._doubling = []
+        b = 1
+        while b < block:
+            u = min(b, d)  # the moved window's last u values are rows b-u..b-1
+            shift = None
+            if b < d:  # and its first d-b values are the old window's last
+                shift = (mat[b : 2 * b, b:], mat[:b, : d - b])
+            self._doubling.append(
+                (mat[:b, d - u :], mat[b - u : b], mat[b : 2 * b], shift)
+            )
+            b *= 2
+        x = np.zeros(d + count)  # d zeros stand for h_v, v <= 0
+        self._seed_slots = x[d : d + n_seeds]
+        self._blocks = []
+        for t in range(n_seeds, count, b):
+            rows = min(b, count - t)
+            self._blocks.append((mat[:rows], x[t : t + d], x[d + t : d + t + rows]))
+        self._h = x[d:]
+
+    def run(self, model: TrialModel) -> np.ndarray:
+        """h_1..h_count for `model`, in the plan's buffer."""
+        if self._h is None:
+            return _seeds(model)[: self._count]
+        self._lag_row[:] = _lags(model, self._d)
+        self._seed_slots[:] = _seeds(model)
+        for lhs, rhs, out, shift in self._doubling:
+            np.dot(lhs, rhs, out)
+            if shift is not None:
+                np.add(shift[0], shift[1], out=shift[0])
+        for lhs, rhs, out in self._blocks:
+            np.dot(lhs, rhs, out)
+        return self._h
+
+
+def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
+    """First `count` values h_1..h_count of the auxiliary recursion.
+
+    Plans the blocked recursion (:class:`_HPlan`) and runs it once; a
+    caller that runs many models of one family at one horizon keeps the
+    plan instead.
+    """
+    return _HPlan(type(model), k, count).run(model)
 
 
 def _run_prefix_prob(model: TrialModel, k: int) -> float:
@@ -164,16 +201,6 @@ def default_vmax(model: TrialModel, k: int) -> int:
     return vmax
 
 
-def _vk_probs(model: TrialModel, k: int, vmax: int) -> np.ndarray:
-    """P(V = v) for v = k..vmax, the table :func:`vk_pmf` wraps.
-
-    The likelihood reads it directly: it needs n entries of the table, not
-    a checked :class:`Pmf`.
-    """
-    k = _validate_k(k)
-    return _run_prefix_prob(model, k) * _h_sequence(model, k, vmax - k + 1)
-
-
 def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
     """Distribution of the trial index at which the first k-run completes.
 
@@ -195,7 +222,7 @@ def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
         vmax = default_vmax(model, k)
     if vmax < k:
         return Pmf(offset=k, probs=np.zeros(0), tail=1.0)
-    probs = _vk_probs(model, k, vmax)
+    probs = _run_prefix_prob(model, k) * _h_sequence(model, k, vmax - k + 1)
     return Pmf(offset=k, probs=probs, tail=1.0 - float(probs.sum()))
 
 

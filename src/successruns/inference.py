@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometric import _vk_probs
+from .geometric import MAX_HORIZON, _HPlan, _run_prefix_prob, _validate_k
 from .models import IID, Markov
 from .oracle import SeededStream
 
@@ -45,6 +45,11 @@ def _as_sample(sample, k: int) -> np.ndarray:
             f"waiting times below k={k} are impossible; smallest observed "
             f"is {int(arr.min())}"
         )
+    if arr.max() > MAX_HORIZON:
+        raise ValueError(
+            f"the largest waiting time, {int(arr.max())} trials, is above the "
+            f"limit of {MAX_HORIZON} trials that a likelihood tabulates"
+        )
     return arr
 
 
@@ -54,15 +59,30 @@ def loglik_vk(model, k: int, sample) -> float:
     Returns -inf when any observation carries zero probability (which a
     finite-precision pmf can legitimately produce deep in the tail).
     """
-    return _checked_loglik(model, k, _as_sample(sample, k))
+    return _SampleLikelihood(type(model), k, _as_sample(sample, k))(model)
 
 
-def _checked_loglik(model, k: int, arr: np.ndarray) -> float:
-    """loglik_vk of a sample that has already passed _as_sample."""
-    probs = _vk_probs(model, k, int(arr.max()))[arr - k]
-    if np.any(probs <= 0.0):
-        return -math.inf
-    return float(np.log(probs).sum())
+class _SampleLikelihood:
+    """loglik_vk of one sample that has passed _as_sample, for any model of
+    one family.
+
+    The h recursion is planned once, up to the largest wait, so each
+    evaluation only runs it: lags and seeds in, the products, then a gather
+    of the observed entries, scaled by the run's probability.
+    """
+
+    def __init__(self, family: type, k: int, arr: np.ndarray):
+        self._k = _validate_k(k)
+        self._plan = _HPlan(family, k, int(arr.max()) - k + 1)
+        self._at = arr - k
+
+    def __call__(self, model) -> float:
+        # the gather copies, so the plan's buffer never leaves the plan
+        probs = self._plan.run(model)[self._at]
+        probs *= _run_prefix_prob(model, self._k)
+        if (probs <= 0.0).any():
+            return -math.inf
+        return float(np.log(probs).sum())
 
 
 @dataclass
@@ -170,9 +190,10 @@ def _moment_start(sample: np.ndarray, k: int) -> float:
 def fit_iid(sample, k: int, max_iter: int = 500) -> FitResult:
     """MLE of the success probability from first-run waiting times."""
     arr = _as_sample(sample, k)
+    loglik = _SampleLikelihood(IID, k, arr)
 
     def objective(x: np.ndarray) -> float:
-        return -_checked_loglik(IID(expit(float(x[0]))), k, arr)
+        return -loglik(IID(expit(float(x[0]))))
 
     start = np.array([logit(_moment_start(arr, k))])
     res = nelder_mead(objective, start, max_iter=max_iter)
@@ -192,12 +213,12 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
     keeps the problem two-dimensional and identifiable from waiting times
     alone; the reported ``p`` is that stationary success probability.
     """
-    arr = _as_sample(sample, k)
+    loglik = _SampleLikelihood(Markov, k, _as_sample(sample, k))
 
     def objective(x: np.ndarray) -> float:
         alpha = expit(float(x[0]))
         beta = expit(float(x[1]))
-        return -_checked_loglik(Markov.stationary_start(alpha, beta), k, arr)
+        return -loglik(Markov.stationary_start(alpha, beta))
 
     res = nelder_mead(objective, np.zeros(2), max_iter=max_iter)
     alpha = expit(float(res.x[0]))
@@ -228,6 +249,17 @@ def bootstrap_se(
     failing aborts with RuntimeError rather than reporting a statistic built
     on a broken optimization.
     """
+    return _bootstrap(sample, k, family, b, stream)[0]
+
+
+def _bootstrap(
+    sample,
+    k: int,
+    family: str,
+    b: int,
+    stream: SeededStream,
+) -> tuple[dict[str, float], int]:
+    """bootstrap_se's standard errors, and how many refits it dropped."""
     if family not in _FITTERS:
         raise ValueError(f"unknown model family {family!r}; use 'iid' or 'markov'")
     if b < 2:
@@ -254,6 +286,5 @@ def bootstrap_se(
             "would be unreliable"
         )
     keys = draws[0].keys()
-    return {
-        key: float(np.std([d[key] for d in draws], ddof=1)) for key in keys
-    }
+    errors = {key: float(np.std([d[key] for d in draws], ddof=1)) for key in keys}
+    return errors, failures

@@ -9,10 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
-from successruns import checks_iid
+from successruns import checks_iid, inference
 from successruns.checks import vk_row
 from successruns.cli import main
 from successruns.fibk import fib_k
+from successruns.geometric import MAX_HORIZON
 
 
 def run(capsys, *argv):
@@ -196,6 +197,45 @@ def test_fit_rejects_unusable_files(capsys, tmp_path):
         capsys, "fit", "--k", "2", "--input", str(tmp_path / "absent.txt")
     )
     assert code == 1
+
+
+def test_fit_refuses_waits_too_large_to_tabulate(capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("5\n# a wait beyond int64\n99999999999999999999\n")
+    code, out, err = run(capsys, "fit", "--k", "2", "--input", str(huge))
+    assert (code, out) == (1, "")
+    assert f"{huge}:3:" in err and "99999999999999999999" in err
+    assert "Traceback" not in err
+    capped = tmp_path / "capped.txt"
+    capped.write_text(f"5\n{MAX_HORIZON + 2 + 1}\n")
+    code, out, err = run(capsys, "fit", "--k", "2", "--input", str(capped))
+    assert (code, out) == (1, "")
+    assert str(MAX_HORIZON + 3) in err and str(MAX_HORIZON) in err
+
+
+def test_fit_reports_dropped_bootstrap_refits(capsys, monkeypatch):
+    argv = ("fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "80",
+            "--seed", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "bootstrap_failures" not in parse(out)["payload"]
+    code, out, _ = run(capsys, *argv, "--bootstrap", "10")
+    assert code == 0
+    assert parse(out)["payload"]["bootstrap_failures"] == 0
+    refits = []
+
+    def first_refit_fails(sample, k):
+        refits.append(k)
+        if len(refits) == 1:
+            raise ValueError("refit failed")
+        return inference.fit_iid(sample, k)
+
+    monkeypatch.setitem(inference._FITTERS, "iid", first_refit_fails)
+    code, out, _ = run(capsys, *argv, "--bootstrap", "10")
+    assert code == 0
+    payload = parse(out)["payload"]
+    assert payload["bootstrap_failures"] == 1
+    assert payload["standard_errors"]["p"] > 0.0
 
 
 def test_fit_simulation_requires_seed(capsys):

@@ -8,8 +8,13 @@ import pytest
 
 from successruns.fibk import fib_k
 from successruns.geometric import (
+    _BLOCK_ENTRIES,
     _LONGEST_CHUNK,
     MAX_HORIZON,
+    _h_sequence,
+    _HPlan,
+    _lags,
+    _seeds,
     default_vmax,
     longest_run_gf,
     longest_run_pmf,
@@ -235,6 +240,61 @@ def test_kernel_matches_paper_recurrence_iid(p, k):
 def test_kernel_matches_paper_recurrence_markov(model, k):
     for vmax in (k, k + 1, k + 2, k + 9, 3000):
         assert_kernel_matches(model, k, vmax)
+
+
+def _h_sequence_per_call(model, k, count):
+    """_h_sequence as one function that laid out its blocks on every call,
+    with np.matmul for the products (kept verbatim)."""
+    if count < 1:
+        return np.zeros(0)
+    seeds = _seeds(model)[:count]
+    if count == len(seeds):
+        return seeds
+    d = min(k, count - 1)
+    block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // d))
+    mat = np.empty((1 << (block - 1).bit_length(), d))
+    mat[0] = _lags(model, d)[::-1]  # h_t from the window h_{t-d..t-1}
+    b = 1
+    while b < block:
+        u = min(b, d)  # the moved window's last u values are rows b-u..b-1
+        np.matmul(mat[:b, d - u :], mat[b - u : b], out=mat[b : 2 * b])
+        if b < d:  # and its first d-b values are the old window's last
+            mat[b : 2 * b, b:] += mat[:b, : d - b]
+        b *= 2
+    x = np.zeros(d + count)  # d zeros stand for h_v, v <= 0
+    x[d : d + len(seeds)] = seeds
+    for t in range(len(seeds), count, b):
+        rows = min(b, count - t)
+        x[d + t : d + t + rows] = mat[:rows] @ x[t : t + d]
+    return x[d:]
+
+
+PLAN_COUNTS = sorted(
+    {0, 1, 2, 3, 1000, 20000} | {2**e + s for e in range(1, 15) for s in (-1, 0, 1)}
+)
+PLAN_MODELS = {
+    IID: [IID(p) for p in KERNEL_PS],
+    Markov: [m for p in KERNEL_PS for m in (Markov(p, p, 0.4), Markov(0.5, 0.6, p))],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12, 40])
+@pytest.mark.parametrize("family", [IID, Markov], ids=["iid", "markov"])
+def test_planned_kernel_matches_the_per_call_kernel_bit_for_bit(family, k):
+    for count in PLAN_COUNTS:
+        plan = _HPlan(family, k, count)
+        for model in PLAN_MODELS[family]:  # every run rewrites the same buffers
+            want = _h_sequence_per_call(model, k, count)
+            assert plan.run(model).tobytes() == want.tobytes()
+            assert _h_sequence(model, k, count).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", [IID(0.5), Markov(0.45, 0.3, 0.6)])
+def test_planned_kernel_with_the_block_capped_by_its_entries(model):
+    k, count = 30000, 30001
+    assert _BLOCK_ENTRIES // k < math.isqrt(4 * count)  # the cap sets B
+    want = _h_sequence_per_call(model, k, count)
+    assert _h_sequence(model, k, count).tobytes() == want.tobytes()
 
 
 def test_kernel_cuts_lags_at_the_horizon():

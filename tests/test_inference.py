@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from successruns import inference
-from successruns.geometric import vk_pmf
+from successruns.geometric import MAX_HORIZON, vk_pmf
 from successruns.inference import (
     FitResult,
     _as_sample,
+    _bootstrap,
     bootstrap_se,
     fit_iid,
     fit_markov,
@@ -174,14 +175,58 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
 
     calls = []
 
-    def old_route(model, k, sample):
-        calls.append(k)
-        return _loglik_via_pmf(model, k, sample)
+    class OldRoute:
+        """Stands in for the per-sample likelihood the fitters build."""
+
+        def __init__(self, family, k, arr):
+            self.k, self.arr = k, arr
+
+        def __call__(self, model):
+            calls.append(self.k)
+            return _loglik_via_pmf(model, self.k, self.arr)
 
     direct = run_all()
-    monkeypatch.setattr(inference, "_checked_loglik", old_route)
+    monkeypatch.setattr(inference, "_SampleLikelihood", OldRoute)
     assert run_all() == direct
     assert len(calls) > 1000  # the fitters really ran the replaced route
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: loglik_vk(IID(0.5), 2, x),
+        lambda x: fit_iid(x, 2),
+        lambda x: fit_markov(x, 2),
+        lambda x: bootstrap_se(x, 2, "iid", 4, SeededStream(1)),
+    ],
+    ids=["loglik_vk", "fit_iid", "fit_markov", "bootstrap_se"],
+)
+def test_waits_beyond_the_horizon_cap_are_refused(call):
+    # just above the cap, so a missing guard costs a table of about 80 MB
+    sample = np.array([3, 5, MAX_HORIZON + 2 + 1], dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"{MAX_HORIZON + 3} trials.*{MAX_HORIZON}"):
+        call(sample)
+
+
+def test_bootstrap_counts_the_refits_it_drops(monkeypatch, fair_sample):
+    short = fair_sample[:100]
+    errors, failures = _bootstrap(short, 2, "iid", 10, SeededStream(12))
+    assert failures == 0
+    assert errors == bootstrap_se(short, 2, "iid", 10, SeededStream(12))
+    refits = []
+
+    def first_refit_fails(sample, k):
+        refits.append(k)
+        if len(refits) == 1:
+            raise ValueError("refit failed")
+        return fit_iid(sample, k)
+
+    monkeypatch.setitem(inference._FITTERS, "iid", first_refit_fails)
+    errors, failures = _bootstrap(short, 2, "iid", 10, SeededStream(12))
+    assert (failures, len(refits)) == (1, 10)
+    assert set(errors) == {"p"} and errors["p"] > 0.0
+    refits.clear()  # the public dict is unchanged: standard errors only
+    assert bootstrap_se(short, 2, "iid", 10, SeededStream(12)) == errors
 
 
 _coord = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)
