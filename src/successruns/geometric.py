@@ -59,6 +59,31 @@ def _seeds(model: TrialModel) -> np.ndarray:
     return np.array([model.p1, model.q1 * (1.0 - model.beta)])
 
 
+def _jet_products(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of a jet lands in its multiplication operator.
+
+    A jet of width 1, 3 or 6 is a value with its Taylor coefficients to
+    second order in 0, 1 or 2 variables, ordered 1, x[, y], x^2[, xy, y^2].
+    Multiplying by the jet a is the linear map M with M[row, col] =
+    a[src] for each (row, col, src) returned: monomial src times monomial
+    col is monomial row.  Entries not listed are zero.
+    """
+    n = {1: 0, 3: 1, 6: 2}[width]
+    monomials = [()] + [(i,) for i in range(n)]
+    monomials += [(i, j) for i in range(n) for j in range(i, n)]
+    index = {m: i for i, m in enumerate(monomials)}
+    triples = [
+        (index[tuple(sorted(a + b))], col, src)
+        for src, a in enumerate(monomials)
+        for col, b in enumerate(monomials)
+        if tuple(sorted(a + b)) in index
+    ]
+    return tuple(np.array(t) for t in zip(*triples))
+
+
+_JET_PRODUCTS = {width: _jet_products(width) for width in (1, 3, 6)}
+
+
 class _HPlan:
     """The h recursion of :func:`_h_sequence`, laid out once for every
     model of one family at one (k, count).
@@ -71,47 +96,91 @@ class _HPlan:
     stages near O(count d) work in O(sqrt(count)) numpy calls.  Every
     weight is non-negative, so no step cancels.
 
+    With jet width J > 1 each value is a jet (see :func:`_jet_products`):
+    h and its first and second derivatives.  The recursion is linear in h,
+    so it carries jets unchanged once each weight c_j acts as the J x J
+    operator of multiplication by its jet.  Every entry of M, and of the
+    window, becomes a J x J block or a J-vector, and the same doubling and
+    block products compute the jet recursion exactly.
+
     The plan holds M, the window buffer and the view that every product
-    reads and writes, so :meth:`run` only writes a model's lags and seeds
-    and issues the products.  Each run overwrites the buffers, including
-    the array the previous run returned.
+    reads and writes, so a run only writes the weights and seeds and issues
+    the products.  Each run overwrites the buffers, including the array the
+    previous run returned.
     """
 
-    def __init__(self, family: type, k: int, count: int):
+    def __init__(self, family: type, k: int, count: int, jet: int = 1):
         self._count = max(count, 0)
         n_seeds = min(1 if family is IID else 2, self._count)  # len(_seeds)
+        self._jet, self._products = jet, _JET_PRODUCTS[jet]
         self._h = None
+        self.lags = 0
         if self._count == n_seeds:
             return
-        d = self._d = min(k, count - 1)
-        block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // d))
-        mat = np.empty((1 << (block - 1).bit_length(), d))
-        self._lag_row = mat[0, ::-1]  # h_t from the window h_{t-d..t-1}
+        d = self.lags = min(k, count - 1)
+        block = min(math.isqrt(4 * count), max(1, _BLOCK_ENTRIES // (d * jet**2)))
+        # lag j's weight, or its operator, is the block of the first row
+        # (block) at column (block) d - j: h_t from the window h_{t-d..t-1}
+        mat = self._mat = np.zeros((jet << (block - 1).bit_length(), d * jet))
+        self._lag_row = mat[0, ::-1]
         self._doubling = []
         b = 1
         while b < block:
             u = min(b, d)  # the moved window's last u values are rows b-u..b-1
             shift = None
             if b < d:  # and its first d-b values are the old window's last
-                shift = (mat[b : 2 * b, b:], mat[:b, : d - b])
+                shift = (
+                    mat[b * jet : 2 * b * jet, b * jet :],
+                    mat[: b * jet, : (d - b) * jet],
+                )
             self._doubling.append(
-                (mat[:b, d - u :], mat[b - u : b], mat[b : 2 * b], shift)
+                (
+                    mat[: b * jet, (d - u) * jet :],
+                    mat[(b - u) * jet : b * jet],
+                    mat[b * jet : 2 * b * jet],
+                    shift,
+                )
             )
             b *= 2
-        x = np.zeros(d + count)  # d zeros stand for h_v, v <= 0
-        self._seed_slots = x[d : d + n_seeds]
+        x = np.zeros((d + count) * jet)  # d zero values stand for h_v, v <= 0
+        self._seed_slots = x[d * jet : (d + n_seeds) * jet]
         self._blocks = []
         for t in range(n_seeds, count, b):
             rows = min(b, count - t)
-            self._blocks.append((mat[:rows], x[t : t + d], x[d + t : d + t + rows]))
-        self._h = x[d:]
+            self._blocks.append(
+                (
+                    mat[: rows * jet],
+                    x[t * jet : (t + d) * jet],
+                    x[(d + t) * jet : (d + t + rows) * jet],
+                )
+            )
+        self._h = x[d * jet :] if jet == 1 else x[d * jet :].reshape(count, jet)
 
     def run(self, model: TrialModel) -> np.ndarray:
-        """h_1..h_count for `model`, in the plan's buffer."""
+        """h_1..h_count for `model`, in the plan's buffer (jet width 1)."""
         if self._h is None:
             return _seeds(model)[: self._count]
-        self._lag_row[:] = _lags(model, self._d)
+        self._lag_row[:] = _lags(model, self.lags)
         self._seed_slots[:] = _seeds(model)
+        return self._advance()
+
+    def run_jets(self, lags: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Jets of h_1..h_count, shape (count, J), in the plan's buffer.
+
+        `lags` holds the jets of c_1..c_d, shape (d, J), with d =
+        ``self.lags``; `seeds` those of the values that precede the
+        recursion, shape (len(_seeds), J).
+        """
+        if self._h is None:
+            return seeds[: self._count]
+        rows, cols, src = self._products
+        jet, d = self._jet, self.lags
+        ops = self._mat[:jet].reshape(jet, d, jet)[:, ::-1].transpose(1, 0, 2)
+        ops[:, rows, cols] = lags[:, src]  # ops[j - 1] acts for lag j
+        self._seed_slots[:] = seeds.ravel()
+        return self._advance()
+
+    def _advance(self) -> np.ndarray:
         for lhs, rhs, out, shift in self._doubling:
             np.dot(lhs, rhs, out)
             if shift is not None:

@@ -2,10 +2,13 @@
 
 The likelihood is the exact waiting-time pmf evaluated at the data, so the
 fit inherits whatever the recursion routes guarantee.  Optimization happens
-in logit space (every parameter lives in the open unit interval) with a
-small hand-rolled Nelder-Mead: the simplex stops when EITHER the function
-spread or the simplex diameter collapses, which lets flat likelihoods near
-the boundary terminate without chasing noise digits.
+in logit space (every parameter lives in the open unit interval) by a
+damped Newton method on the exact score and Hessian.  The h recursion is
+linear in h, so it carries second-order jets (value, first and second
+derivatives) through the same planned kernel; the log-likelihood's value,
+score and Hessian then come from one gather and a few sums.  A small
+hand-rolled Nelder-Mead stays as the derivative-free reference optimizer
+that the tests hold the Newton fits against.
 
 Uncertainty comes from a nonparametric bootstrap: resample the waiting
 times, refit, and report the spread of the refitted estimates.
@@ -18,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometric import MAX_HORIZON, _HPlan, _run_prefix_prob, _validate_k
+from .geometric import (
+    MAX_HORIZON,
+    _HPlan,
+    _run_prefix_prob,
+    _validate_k,
+    mean_wait,
+)
 from .models import IID, Markov
 from .oracle import SeededStream
 
@@ -85,6 +94,135 @@ class _SampleLikelihood:
         return float(np.log(probs).sum())
 
 
+def _exp_jet2(value, dx, dy, dxx, dxy, dyy) -> list[float]:
+    """Taylor jet (1, x, y, x^2, xy, y^2) of value * exp(L - L0) from the
+    derivatives of L at 0."""
+    return [
+        value,
+        value * dx,
+        value * dy,
+        0.5 * value * (dxx + dx * dx),
+        value * (dxy + dx * dy),
+        0.5 * value * (dyy + dy * dy),
+    ]
+
+
+def _iid_jets(x: np.ndarray, powers: np.ndarray, k: int):
+    """Jets in x = logit p of the lags c_j = q p^(j-1) and the seed h_1 = 1,
+    with the derivatives of log p^k.  None when p rounds to 0 or 1.
+
+    d/dx log c_j = q j - 1 and d2/dx2 log c_j = -p q j, so each lag's jet
+    is c_j times a quadratic in j; `powers` holds (1, j, j^2) per lag.
+    """
+    p = expit(float(x[0]))
+    if not 0.0 < p < 1.0:
+        return None
+    q = 1.0 - p
+    quad = np.array(
+        [[1.0, -1.0, 0.5], [0.0, q, -q - 0.5 * p * q], [0.0, 0.0, 0.5 * q * q]]
+    )
+    lags = powers @ quad
+    lags *= (q * p ** (powers[:, 1] - 1.0))[:, None]
+    seeds = np.array([[1.0, 0.0, 0.0]])
+    return p**k, lags, seeds, np.array([k * q]), np.array([[-k * p * q]])
+
+
+def _markov_jets(x: np.ndarray, powers: np.ndarray, k: int):
+    """Jets in (x, y) = (logit alpha, logit beta) of the stationary chain's
+    lags and seeds, with the derivatives of log alpha^(k-1).  None when a
+    parameter rounds to 0 or 1.
+
+    The lags are c_1 = beta and c_j = (1-alpha)(1-beta) alpha^(j-2), whose
+    log has x-derivatives (1-alpha) j - (2-alpha) and -alpha (1-alpha)(j-1),
+    and y-derivatives -beta and -beta (1-beta); so each jet is c_j times a
+    quadratic in j, and `powers` holds (1, j, j^2) per lag.  The seeds are
+    h_1 = p1 = (1-beta)/s and h_2 = (1-p1)(1-beta), with s = 2-alpha-beta.
+    """
+    a, b = expit(float(x[0])), expit(float(x[1]))
+    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
+        return None
+    ab, bb = 1.0 - a, 1.0 - b  # d/dx log a = ab and d/dx log ab = -a
+    a2 = 2.0 - a
+    quad = np.array(
+        [
+            [1.0, -a2, -b, 0.5 * (a2 * a2 + a * ab), b * a2, 0.5 * b * (b - bb)],
+            [0.0, ab, 0.0, -ab * a2 - 0.5 * a * ab, -b * ab, 0.0],
+            [0.0, 0.0, 0.0, 0.5 * ab * ab, 0.0, 0.0],
+        ]
+    )
+    lags = powers @ quad
+    lags *= (ab * bb * a ** (powers[:, 1] - 2.0))[:, None]
+    lags[:1] = _exp_jet2(b, 0.0, bb, 0.0, 0.0, -b * bb)  # c_1 = beta
+    s = ab + bb  # log s has derivatives sx, sy, sxx, -sx sy, syy
+    sx, sy = -a * ab / s, -b * bb / s
+    sxx = -a * ab * (ab - a) / s - sx * sx
+    syy = -b * bb * (bb - b) / s - sy * sy
+    p1 = bb / s
+    dy, dyy = -b - sy, -b * bb - syy  # the same for both seeds
+    seeds = np.array(
+        [
+            _exp_jet2(p1, -sx, dy, -sxx, sx * sy, dyy),
+            _exp_jet2((1.0 - p1) * bb, -a - sx, dy, -a * ab - sxx, sx * sy, dyy),
+        ]
+    )
+    m = k - 1
+    grad, hess = np.array([m * ab, 0.0]), np.array([[-m * a * ab, 0.0], [0.0, 0.0]])
+    return a**m, lags, seeds, grad, hess
+
+
+class _SampleScore:
+    """Log-likelihood of one sample that has passed _as_sample, with its
+    score and Hessian in logit space, for one family.
+
+    The h recursion is planned once with jets of width 3 (IID: p) or 6
+    (Markov: alpha and beta), up to the largest wait.  Each evaluation
+    writes the lag and seed jets, runs the plan and gathers one jet per
+    distinct wait.  With e = (h - h0) / h0, log h = log h0 + e - e^2 / 2 to
+    second order, so the score and Hessian are weighted sums over the
+    gathered jets.
+    """
+
+    def __init__(self, family: type, k: int, arr: np.ndarray):
+        self._k = _validate_k(k)
+        if family is IID:
+            self._jets, width, self._dim = _iid_jets, 3, 1
+            self._second = np.array([[1]])  # where x^2 sits in e
+            self._factor = np.array([[2.0]])  # Hessian / Taylor coefficient
+        else:
+            self._jets, width, self._dim = _markov_jets, 6, 2
+            self._second = np.array([[2, 3], [3, 4]])  # x^2, xy, y^2
+            self._factor = np.array([[2.0, 1.0], [1.0, 2.0]])
+        self._plan = _HPlan(family, k, int(arr.max()) - k + 1, jet=width)
+        waits, counts = np.unique(arr, return_counts=True)
+        self._at = waits - k
+        self._weights = counts.astype(np.float64)
+        j = np.arange(1.0, self._plan.lags + 1.0)
+        self._powers = np.stack([np.ones_like(j), j, j * j], axis=1)
+        self._n = float(arr.size)
+
+    def __call__(self, x: np.ndarray):
+        """(value, score, Hessian) at x; (-inf, None, None) where the
+        likelihood underflows or a parameter leaves (0, 1)."""
+        jets = self._jets(x, self._powers, self._k)
+        if jets is None:
+            return -math.inf, None, None
+        scale, lags, seeds, grad, hess = jets
+        h = self._plan.run_jets(lags, seeds)[self._at]
+        h0 = h[:, 0]
+        if not (h0 > 0.0).all():
+            return -math.inf, None, None
+        w = self._weights
+        e = h[:, 1:] / h0[:, None]
+        sums = w @ e
+        first = e[:, : self._dim]
+        hessian = self._factor * sums[self._second] - (first.T * w) @ first
+        hessian += self._n * hess
+        if not np.isfinite(hessian).all():
+            return -math.inf, None, None
+        value = float(w @ np.log(h0)) + self._n * math.log(scale)
+        return value, sums[: self._dim] + self._n * grad, hessian
+
+
 @dataclass
 class NMResult:
     x: np.ndarray
@@ -103,6 +241,9 @@ def nelder_mead(
 ) -> NMResult:
     """Minimize f by the classic simplex moves (reflect 1, expand 2,
     contract 0.5, shrink 0.5).
+
+    The fitters use Newton steps on the exact score; this derivative-free
+    search is the reference the tests hold them to.
 
     Converges when the simplex function spread drops below tol_f OR its
     diameter drops below tol_x; hitting max_iter returns the best vertex
@@ -161,46 +302,145 @@ class FitResult:
     standard_errors: dict[str, float] | None = field(default=None)
 
 
-def _moment_start(sample: np.ndarray, k: int) -> float:
-    """Starting p from matching the mean waiting time (1-p^k)/(q p^k).
+#: Largest step, in logit units, before the line search.
+_MAX_STEP = 2.0
+#: Newton stops once the quadratic model promises less than this gain, or
+#: less than _ROUNDING times the log-likelihood: a few units in its last
+#: place, which no step can be seen to gain.
+_GAIN_TOL = 1e-13
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
-    The mean is strictly decreasing in p, so a bisection pins it down; the
-    result is clamped to [0.05, 0.95] because the optimizer only needs a
-    sane interior point, not a boundary-accurate one.
+
+def _ascent(score: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Newton step for a maximum and the gain the quadratic model
+    predicts for it, g' A^-1 g / 2.
+
+    A is -H with each eigenvalue replaced by its magnitude, floored at
+    1e-12 of the largest (or of 1, if that is smaller), so it is positive
+    definite and the step goes uphill even where H is not negative
+    definite.  The eigenvectors of a symmetric 2 x 2 matrix come from the
+    rotation angle that diagonalizes it, the larger eigenvalue magnitude
+    from its trace and the smaller from its determinant (1 x 1: the entry
+    itself).
+    """
+    g = score.tolist()
+    a = (-hessian).tolist()
+    if len(g) == 1:
+        pairs = [(a[0][0], (1.0,))]
+    else:
+        (p, r), (_, s) = a
+        angle = 0.5 * math.atan2(2.0 * r, p - s)
+        c, t = math.cos(angle), math.sin(angle)
+        mid, radius = 0.5 * (p + s), math.hypot(0.5 * (p - s), r)
+        upper, lower = mid + radius, mid - radius  # with (c, t) and (-t, c)
+        if mid >= 0.0:  # the smaller magnitude from the determinant
+            lower = (p * s - r * r) / upper if upper else 0.0
+        else:
+            upper = (p * s - r * r) / lower
+        pairs = [(upper, (c, t)), (lower, (-t, c))]
+    floor = 1e-12 * max(max(abs(value) for value, _ in pairs), 1.0)
+    step = np.zeros(len(g))
+    gain = 0.0
+    for value, vector in pairs:
+        along = sum(v * gi for v, gi in zip(vector, g))
+        scaled = along / max(abs(value), floor)
+        step += scaled * np.array(vector)
+        gain += 0.5 * along * scaled
+    return step, gain
+
+
+def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
+    """Maximize a log-likelihood by damped Newton steps from x0.
+
+    `score_at(x)` returns (value, score, Hessian), with value -inf where
+    the likelihood cannot be evaluated.  Each step is capped at _MAX_STEP
+    and backtracked until it passes an Armijo test.  A full step that
+    gains at least what the quadratic model predicted is doubled while it
+    keeps gaining, which walks toward a maximum at a boundary of the
+    parameter space (a logit going to infinity) in few steps.  Stops when
+    the predicted gain falls below _GAIN_TOL or the value's rounding, or
+    when no step along the ascent direction gains at all; that counts as
+    converged if the predicted gain was under 1e-9 of the value.  The
+    result carries the value with its sign flipped, as a minimizer's
+    would.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    f, g, h = score_at(x)
+    if not math.isfinite(f):
+        raise ValueError("the likelihood underflows at the starting point")
+    for iteration in range(1, max_iter + 1):
+        step, gain = _ascent(g, h)
+        if gain < max(_GAIN_TOL, _ROUNDING * abs(f)):
+            return NMResult(x, -f, iteration, True)
+        size = float(np.sqrt(step @ step))
+        if size > _MAX_STEP:
+            step *= _MAX_STEP / size
+        slope = float(g @ step)
+        model_gain = slope - 0.5 * float(step @ (-h) @ step)
+        t = 1.0
+        while True:
+            trial = score_at(x + t * step)
+            if trial[0] > f and trial[0] >= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:  # no gain left above rounding
+                return NMResult(x, -f, iteration, gain < 1e-9 * max(1.0, abs(f)))
+        if t == 1.0 and trial[0] - f >= model_gain:
+            while True:
+                t *= 2.0
+                further = score_at(x + t * step)
+                if not further[0] > trial[0]:
+                    t *= 0.5
+                    break
+                trial = further
+        x = x + t * step
+        f, g, h = trial
+    return NMResult(x, -f, max_iter, False)
+
+
+def _fit_sample(sample, k: int) -> np.ndarray:
+    """A sample that has passed _as_sample and has a likelihood maximum."""
+    arr = _as_sample(sample, k)
+    if (arr == k).all():
+        raise ValueError(
+            f"every waiting time equals k={k}: the likelihood grows toward a "
+            "success probability of 1 and has no maximum inside (0, 1)"
+        )
+    return arr
+
+
+def _moment_start(sample: np.ndarray, k: int) -> float:
+    """Starting logit p from matching the mean waiting time (1-p^k)/(q p^k).
+
+    The mean is strictly decreasing in p, so a bisection on logit p pins it
+    down, to about 7e-3; Newton only needs a nearby interior point.  Means
+    beyond what logit p in [-14, 14] reaches take that end.
     """
     target = float(sample.mean())
-
-    def mean_at(p: float) -> float:
-        return (1.0 - p**k) / ((1.0 - p) * p**k)
-
-    lo, hi = 1e-6, 1.0 - 1e-6
-    if mean_at(hi) >= target:
-        return 0.95
-    if mean_at(lo) <= target:
-        return 0.05
-    for _ in range(80):
+    lo, hi = -14.0, 14.0
+    for _ in range(12):
         mid = 0.5 * (lo + hi)
-        if mean_at(mid) > target:
+        if mean_wait(IID(expit(mid)), k) > target:  # inf where p^-k overflows
             lo = mid
         else:
             hi = mid
-    return min(max(0.5 * (lo + hi), 0.05), 0.95)
+    return 0.5 * (lo + hi)
+
+
+def _fit_iid_logit(arr: np.ndarray, k: int, max_iter: int) -> NMResult:
+    """The Newton fit of logit p to a checked sample."""
+    start = np.array([_moment_start(arr, k)])
+    return _newton(_SampleScore(IID, k, arr), start, max_iter)
 
 
 def fit_iid(sample, k: int, max_iter: int = 500) -> FitResult:
     """MLE of the success probability from first-run waiting times."""
-    arr = _as_sample(sample, k)
-    loglik = _SampleLikelihood(IID, k, arr)
-
-    def objective(x: np.ndarray) -> float:
-        return -loglik(IID(expit(float(x[0]))))
-
-    start = np.array([logit(_moment_start(arr, k))])
-    res = nelder_mead(objective, start, max_iter=max_iter)
-    p_hat = expit(float(res.x[0]))
+    arr = _fit_sample(sample, k)
+    res = _fit_iid_logit(arr, k, max_iter)
+    model = IID(expit(float(res.x[0])))
     return FitResult(
-        estimates={"p": p_hat},
-        loglik=-res.fun,
+        estimates={"p": model.p},
+        loglik=_SampleLikelihood(IID, k, arr)(model),
         converged=res.converged,
         iterations=res.iterations,
     )
@@ -212,21 +452,19 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
     The first trial is pinned to the stationary law of (alpha, beta), which
     keeps the problem two-dimensional and identifiable from waiting times
     alone; the reported ``p`` is that stationary success probability.
+
+    Newton starts from the IID fit: IID(p) is the chain with alpha = p and
+    beta = 1 - p, and every step gains, so the chain's likelihood is never
+    below the IID one.
     """
-    loglik = _SampleLikelihood(Markov, k, _as_sample(sample, k))
-
-    def objective(x: np.ndarray) -> float:
-        alpha = expit(float(x[0]))
-        beta = expit(float(x[1]))
-        return -loglik(Markov.stationary_start(alpha, beta))
-
-    res = nelder_mead(objective, np.zeros(2), max_iter=max_iter)
-    alpha = expit(float(res.x[0]))
-    beta = expit(float(res.x[1]))
-    model = Markov.stationary_start(alpha, beta)
+    arr = _fit_sample(sample, k)
+    x = float(_fit_iid_logit(arr, k, max_iter).x[0])
+    start = np.array([x, -x])  # alpha = p and beta = 1 - p
+    res = _newton(_SampleScore(Markov, k, arr), start, max_iter)
+    model = Markov.stationary_start(expit(float(res.x[0])), expit(float(res.x[1])))
     return FitResult(
-        estimates={"alpha": alpha, "beta": beta, "p": model.stationary},
-        loglik=-res.fun,
+        estimates={"alpha": model.alpha, "beta": model.beta, "p": model.stationary},
+        loglik=_SampleLikelihood(Markov, k, arr)(model),
         converged=res.converged,
         iterations=res.iterations,
     )

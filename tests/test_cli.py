@@ -213,6 +213,31 @@ def test_fit_refuses_waits_too_large_to_tabulate(capsys, tmp_path):
     assert str(MAX_HORIZON + 3) in err and str(MAX_HORIZON) in err
 
 
+@pytest.mark.parametrize("family", ["iid", "markov"])
+def test_fit_handles_long_runs(capsys, tmp_path, family):
+    path = tmp_path / "waits.txt"
+    path.write_text("60\n61\n65\n")
+    code, out, err = run(
+        capsys, "fit", "--k", "60", "--input", str(path), "--family", family
+    )
+    assert (code, err) == (0, "")
+    payload = parse(out)["payload"]
+    assert payload["converged"] is True
+    assert 0.9 < payload["estimates"]["p"] < 1.0
+
+
+@pytest.mark.parametrize("family", ["iid", "markov"])
+def test_fit_refuses_a_sample_of_shortest_waits(capsys, tmp_path, family):
+    path = tmp_path / "waits.txt"
+    path.write_text("2\n2\n2\n")
+    code, out, err = run(
+        capsys, "fit", "--k", "2", "--input", str(path), "--family", family
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "every waiting time equals k=2" in err and "no maximum" in err
+
+
 def test_fit_reports_dropped_bootstrap_refits(capsys, monkeypatch):
     argv = ("fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "80",
             "--seed", "3")

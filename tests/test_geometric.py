@@ -297,6 +297,75 @@ def test_planned_kernel_with_the_block_capped_by_its_entries(model):
     assert _h_sequence(model, k, count).tobytes() == want.tobytes()
 
 
+def _jet_product(a, b):
+    """Product of second-order Taylor jets, row by row: width 3 is
+    (1, x, x^2), width 6 is (1, x, y, x^2, xy, y^2)."""
+    a0, b0 = a[..., :1], b[..., :1]
+    if a.shape[-1] == 3:
+        a1, a2 = a[..., 1:2], a[..., 2:3]
+        b1, b2 = b[..., 1:2], b[..., 2:3]
+        return np.concatenate(
+            [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0], -1
+        )
+    ax, ay, axx, axy, ayy = (a[..., i : i + 1] for i in range(1, 6))
+    bx, by, bxx, bxy, byy = (b[..., i : i + 1] for i in range(1, 6))
+    return np.concatenate(
+        [
+            a0 * b0,
+            a0 * bx + ax * b0,
+            a0 * by + ay * b0,
+            a0 * bxx + ax * bx + axx * b0,
+            a0 * bxy + ax * by + ay * bx + axy * b0,
+            a0 * byy + ay * by + ayy * b0,
+        ],
+        -1,
+    )
+
+
+def _jet_recursion(lags, seeds, count):
+    """h_t = sum_j c_j h_(t-j) over jets, one step at a time."""
+    h = np.zeros((count, lags.shape[1] if len(lags) else seeds.shape[1]))
+    h[: len(seeds)] = seeds[:count]
+    for t in range(len(seeds), count):
+        window = min(len(lags), t)
+        h[t] = _jet_product(lags[:window], h[t - window : t][::-1]).sum(axis=0)
+    return h
+
+
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize("family", [IID, Markov], ids=["iid", "markov"])
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_jet_plan_runs_the_recursion_over_jets(family, k, width):
+    rng = np.random.default_rng(k * width)
+    n_seeds = 1 if family is IID else 2
+    for count in (0, 1, 2, 3, 5, 17, 64, 65, 300):
+        plan = _HPlan(family, k, count, jet=width)
+        assert plan.lags == (min(k, count - 1) if count > n_seeds else 0)
+        for _ in range(2):  # every run rewrites the same buffers
+            # positive entries: nothing cancels, so the routes agree closely
+            lags = rng.uniform(0.05, 0.3, (plan.lags, width)) / max(plan.lags, 1)
+            seeds = rng.uniform(0.1, 1.0, (n_seeds, width))
+            got = plan.run_jets(lags, seeds)
+            want = _jet_recursion(lags, seeds, count)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("model", [IID(0.5), Markov(0.45, 0.3, 0.6)])
+def test_jet_plan_with_the_block_capped_by_its_entries(model):
+    k, count, width = 2000, 2100, 6
+    assert _BLOCK_ENTRIES // (k * width**2) < math.isqrt(4 * count)  # the cap sets B
+    seeds = np.zeros((len(_seeds(model)), width))
+    seeds[:, 0] = _seeds(model)
+    lags = np.zeros((k, width))
+    lags[:, 0] = _lags(model, k)
+    lags[:, 1] = np.arange(1, k + 1) * lags[:, 0]  # as if d/dx log c_j = j
+    got = _HPlan(type(model), k, count, jet=width).run_jets(lags, seeds)
+    np.testing.assert_allclose(got[:, 0], _h_sequence(model, k, count), rtol=1e-12)
+    want = _jet_recursion(lags, seeds, count)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_kernel_cuts_lags_at_the_horizon():
     # only h_1..h_101 are needed, so at most 100 lags can matter
     start = time.perf_counter()

@@ -176,7 +176,7 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
     calls = []
 
     class OldRoute:
-        """Stands in for the per-sample likelihood the fitters build."""
+        """Stands in for the per-sample likelihood the fitters report."""
 
         def __init__(self, family, k, arr):
             self.k, self.arr = k, arr
@@ -185,10 +185,28 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
             calls.append(self.k)
             return _loglik_via_pmf(model, self.k, self.arr)
 
+    scored = []
+
+    class CheckedScore(inference._SampleScore):
+        """The jet likelihood the fitters step on, held to the old route."""
+
+        def __init__(self, family, k, arr):
+            super().__init__(family, k, arr)
+            self.family, self.k, self.arr = family, k, arr
+
+        def __call__(self, x):
+            value, score, hessian = super().__call__(x)
+            want = _loglik_via_pmf(_model_at(self.family, x), self.k, self.arr)
+            assert value == pytest.approx(want, rel=1e-13)
+            scored.append(self.k)
+            return value, score, hessian
+
     direct = run_all()
     monkeypatch.setattr(inference, "_SampleLikelihood", OldRoute)
+    monkeypatch.setattr(inference, "_SampleScore", CheckedScore)
     assert run_all() == direct
-    assert len(calls) > 1000  # the fitters really ran the replaced route
+    assert len(calls) == 27  # one reported loglik per fit and refit
+    assert len(scored) > 200  # the Newton steps all ran on checked values
 
 
 @pytest.mark.parametrize(
@@ -249,3 +267,215 @@ def test_simplex_bookkeeping_matches_the_per_vertex_loops(simplex):
     old_centroid = np.mean(simplex[:-1], axis=0)
     new_centroid = np.add.reduce(np.array(simplex[:-1]), axis=0) / dim
     assert new_centroid.tobytes() == old_centroid.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Newton route: jets of the h recursion, exact score and Hessian
+
+
+def _model_at(family, x):
+    if family is IID:
+        return IID(inference.expit(x[0]))
+    return Markov.stationary_start(inference.expit(x[0]), inference.expit(x[1]))
+
+
+def _score_samples(family, k):
+    source = IID(0.6) if family is IID else Markov.stationary_start(0.6, 0.4)
+    drawn = sample_waiting_times(source, k, 60, SeededStream(400 + k))
+    # count 1 and count 2 take no recursion step for a chain (two seeds)
+    return [drawn, np.array([k, k + 1, k + 1, k]), np.array([k, k])]
+
+
+@pytest.mark.parametrize("family", [IID, Markov], ids=["iid", "markov"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_score_and_hessian_match_central_differences(family, k):
+    dim = 1 if family is IID else 2
+    for sample in _score_samples(family, k):
+        score_at = inference._SampleScore(family, k, _as_sample(sample, k))
+        for x in (np.array([0.3, -0.4][:dim]), np.array([-1.1, 1.7][:dim])):
+            value, score, hessian = score_at(x)
+            eps = 1e-5
+            for i in range(dim):
+                step = eps * np.eye(dim)[i]
+                up, down = score_at(x + step), score_at(x - step)
+                slope = (up[0] - down[0]) / (2 * eps)
+                assert score[i] == pytest.approx(slope, rel=1e-6, abs=1e-6)
+                bend = (up[1] - down[1]) / (2 * eps)
+                np.testing.assert_allclose(hessian[i], bend, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(hessian, hessian.T, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family", [IID, Markov], ids=["iid", "markov"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_jet_value_matches_the_plain_likelihood(family, k):
+    dim = 1 if family is IID else 2
+    for sample in _score_samples(family, k):
+        arr = _as_sample(sample, k)
+        score_at = inference._SampleScore(family, k, arr)
+        plain = inference._SampleLikelihood(family, k, arr)
+        for x in (np.array([0.3, -0.4][:dim]), np.array([-1.1, 1.7][:dim])):
+            want = plain(_model_at(family, x))
+            assert score_at(x)[0] == pytest.approx(want, rel=1e-13)
+
+
+def test_jet_value_is_minus_infinity_where_the_likelihood_underflows():
+    score_at = inference._SampleScore(IID, 1, np.array([1, 2, 400]))
+    assert score_at(np.array([inference.logit(0.99)])) == (-math.inf, None, None)
+    assert score_at(np.array([40.0]))[0] == -math.inf  # p rounds to 1
+
+
+def _fitted(fit):
+    if set(fit.estimates) == {"p"}:
+        return IID(fit.estimates["p"])
+    return Markov.stationary_start(fit.estimates["alpha"], fit.estimates["beta"])
+
+
+def _nm_fit(family, k, sample):
+    """The Nelder-Mead fit the fitters made before Newton (kept verbatim),
+    started where they start: IID at the moment start, a chain at zero."""
+    arr = _as_sample(sample, k)
+    loglik = inference._SampleLikelihood(family, k, arr)
+    if family is IID:
+        start = np.array([inference._moment_start(arr, k)])
+    else:
+        start = np.zeros(2)
+    res = inference.nelder_mead(lambda x: -loglik(_model_at(family, x)), start)
+    return -res.fun
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_fits_are_no_worse_than_nelder_mead(seed):
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 3, 5):
+        p = float(rng.uniform(0.3, 0.7))
+        beta = float(rng.uniform(0.2, 0.8))
+        size = int(rng.integers(30, 300))
+        for source in (IID(p), Markov.stationary_start(p, beta)):
+            stream = SeededStream(1000 * seed + k)
+            sample = sample_waiting_times(source, k, size, stream)
+            iid, markov = fit_iid(sample, k), fit_markov(sample, k)
+            assert iid.converged and markov.converged
+            for family, fit in ((IID, iid), (Markov, markov)):
+                reference = _nm_fit(family, k, sample)
+                assert fit.loglik >= reference - 1e-12 * abs(reference)
+            assert markov.loglik >= iid.loglik - 1e-12 * abs(iid.loglik)
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+def test_fit_loglik_is_loglik_vk_at_the_estimate(fitter, fair_sample):
+    for k, sample in ((2, fair_sample[:300]), (4, np.array([4, 9, 30, 5, 4, 17]))):
+        fit = fitter(sample, k)
+        assert fit.loglik == loglik_vk(_fitted(fit), k, sample)
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+@pytest.mark.parametrize(
+    "k,sample", [(1, [1, 2, 400]), (1, [1, 3, 300]), (2, [2, 5, 400])]
+)
+def test_fits_of_underflow_samples_never_raise_a_traceback(fitter, k, sample):
+    # the samples of test_loglik_underflow_is_minus_infinity_on_both_routes:
+    # the likelihood underflows at the models there, not at the maximum
+    fit = fitter(sample, k)
+    assert fit.converged and math.isfinite(fit.loglik)
+    assert fit.loglik == loglik_vk(_fitted(fit), k, sample)
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+def test_a_long_wait_does_not_strand_the_fit_at_zero_likelihood(fitter):
+    # at the old start, p = 0.05, 0.95^19999 underflows: Nelder-Mead never
+    # moved and reported a converged fit with loglik -inf
+    fit = fitter([1, 2, 20000], 1)
+    assert fit.converged and math.isfinite(fit.loglik)
+    assert fit.loglik == loglik_vk(_fitted(fit), 1, [1, 2, 20000])
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+def test_long_runs_fit_without_overflow(fitter):
+    # p^k underflows at k >= 54 for the smallest p the start once tried
+    fit = fitter([60, 61, 65], 60)
+    assert fit.converged and math.isfinite(fit.loglik)
+    assert 0.9 < fit.estimates["p"] < 1.0
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+@pytest.mark.parametrize("k,sample", [(2, [2, 2, 2]), (5, [5])])
+def test_a_sample_of_shortest_waits_has_no_maximum(fitter, k, sample):
+    message = rf"every waiting time equals k={k}.*no maximum"
+    with pytest.raises(ValueError, match=message):
+        fitter(sample, k)
+
+
+def test_bootstrap_drops_resamples_of_shortest_waits():
+    # half the waits are k, so a few resamples hold nothing else
+    sample = np.array([2, 2, 2, 5, 7, 9])
+    rng = SeededStream(2).generator()
+    shortest = sum((sample[rng.integers(0, 6, 6)] == 2).all() for _ in range(60))
+    assert shortest == 3
+    _, failures = _bootstrap(sample, 2, "iid", 60, SeededStream(2))
+    assert failures == shortest
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+)
+def test_ascent_steps_uphill_by_the_eigenvalue_magnitudes(score, hxx, hxy, hyy):
+    g = np.array(score)
+    hessian = np.array([[hxx, hxy], [hxy, hyy]])
+    step, gain = inference._ascent(g, hessian)
+    values, vectors = np.linalg.eigh(-hessian)
+    floor = 1e-12 * max(np.abs(values).max(), 1.0)
+    mags = np.maximum(np.abs(values), floor)
+    along = vectors.T @ g
+    want = vectors @ (along / mags)
+    # either route has eigenvectors good to a few ulps, which 1/floor
+    # scales, and eigenvalues good to a few ulps of the largest
+    big = np.abs(values).max()
+    slack = (
+        1e-14 * np.abs(g).sum() / floor
+        + 1e-14 * big * (np.abs(along) / mags**2).sum()
+        + 1e-9 * np.abs(want).max()
+    )
+    np.testing.assert_allclose(step, want, rtol=0, atol=slack)
+    assert g @ step >= 0.0
+    assert gain == pytest.approx(0.5 * g @ step, rel=1e-9, abs=1e-300)
+    one_step, one_gain = inference._ascent(g[:1], hessian[:1, :1])
+    assert one_step[0] == g[0] / max(abs(hxx), 1e-12 * max(abs(hxx), 1.0))
+    assert one_gain == pytest.approx(0.5 * g[0] * one_step[0], rel=1e-12)
+
+
+def test_newton_stops_where_rounding_hides_the_gain(monkeypatch):
+    # a bootstrap resample whose IID optimum leaves a predicted gain of a
+    # few 1e-13 at a loglik near -900, below one unit in its last place:
+    # no step can show it, and the fit must stop rather than spin
+    source = Markov.stationary_start(0.455, 0.433)
+    drawn = sample_waiting_times(source, 2, 350, SeededStream(71052))
+    rng = SeededStream(71053).generator()
+    for _ in range(3):
+        sample = drawn[rng.integers(0, drawn.size, drawn.size)]
+    evaluations = []
+    score = inference._SampleScore.__call__
+    monkeypatch.setattr(
+        inference._SampleScore,
+        "__call__",
+        lambda self, x: evaluations.append(x) or score(self, x),
+    )
+    fit = fit_iid(sample, 2)
+    assert fit.converged and fit.iterations < 10
+    assert len(evaluations) < 20
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.465, 0.373), (0.457, 0.356)])
+def test_a_maximum_on_the_boundary_is_reached_in_few_steps(alpha, beta):
+    # the chain's likelihood here grows toward beta = 0; doubling the full
+    # Newton steps walks logit beta out in about half the iterations
+    sample = sample_waiting_times(
+        Markov.stationary_start(alpha, beta), 3, 500, SeededStream(71013)
+    )
+    fit = fit_markov(sample, 3)
+    assert fit.converged and fit.iterations <= 30
+    assert fit.estimates["beta"] < 1e-9
+    assert fit.loglik >= _nm_fit(Markov, 3, sample) - 1e-12 * abs(fit.loglik)
