@@ -34,9 +34,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .geometric import _longest_laws
 from .models import Pmf, TrialModel
-from .polyseries import Poly, RationalGF
-from .rth_waiting import Scheme, occurrence_factors, trk_pmf
+from .polyseries import Moments, Poly, RationalGF
+from .rth_waiting import (
+    Scheme,
+    _checked_factors,
+    _compose_moments,
+    _rth_rows,
+    occurrence_factors,
+)
 
 CONFIRMED = "CONFIRMED"
 ERRATUM = "ERRATUM"
@@ -287,16 +294,26 @@ def vk_series(model: TrialModel, k: int, vmax: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def longest_rows(model: TrialModel, nmax: int) -> tuple[np.ndarray, ...]:
+    """P(longest success run in n trials = j) for j = 0..n, n = 0..nmax."""
+    return tuple(pm.probs for pm in _longest_laws(model, range(nmax + 1)))
+
+
+@lru_cache(maxsize=None)
 def trk_rows(
     model: TrialModel, k: int, scheme: Scheme, rmax: int, nmax: int
 ) -> np.ndarray:
-    """h[r][n] = P(T_{r,k} = n) for r = 0..rmax; row zero is the delta at 0."""
+    """h[r][n] = P(T_{r,k} = n) for r = 0..rmax; row zero is the delta at 0.
+
+    Row r is the law trk_pmf(model, k, r, scheme, nmax) gives, from one
+    power ladder of the inter-occurrence factor.
+    """
     table = np.zeros((rmax + 1, nmax + 1))
     table[0, 0] = 1.0
-    for r in range(1, rmax + 1):
-        pm = trk_pmf(model, k, r, scheme, nmax=nmax)
-        if pm.offset <= nmax and len(pm.probs):
-            table[r, pm.offset : pm.offset + len(pm.probs)] = pm.probs
+    h, a = occurrence_factors(model, k, scheme)
+    for r, offset, raw in _rth_rows(h, a, k, scheme, rmax, nmax):
+        pm = Pmf(offset=offset, probs=raw, tail=1.0 - float(raw.sum()))
+        table[r, offset : offset + len(pm.probs)] = pm.probs
     return table
 
 
@@ -375,17 +392,24 @@ def counts_second_row(
 
 
 @lru_cache(maxsize=None)
-def trk_mean(model: TrialModel, k: int, scheme: Scheme, r: int) -> float:
-    from .rth_waiting import trk_moments
+def _factor_moments(
+    model: TrialModel, k: int, scheme: Scheme
+) -> tuple[Moments, Moments]:
+    """Moments at z = 1 of the H and A factors, after their mass check."""
+    h, a = _checked_factors(model, k, 1, scheme)
+    return h.moments_at_one(), a.moments_at_one()
 
-    return trk_moments(model, k, r, scheme).mean
+
+@lru_cache(maxsize=None)
+def trk_mean(model: TrialModel, k: int, scheme: Scheme, r: int) -> float:
+    """E[T_{r,k}], as trk_moments composes it."""
+    return _compose_moments(*_factor_moments(model, k, scheme), r).mean
 
 
 @lru_cache(maxsize=None)
 def trk_second(model: TrialModel, k: int, scheme: Scheme, r: int) -> float:
-    from .rth_waiting import trk_moments
-
-    return trk_moments(model, k, r, scheme).second_moment
+    """E[T_{r,k}^2], as trk_moments composes it."""
+    return _compose_moments(*_factor_moments(model, k, scheme), r).second_moment
 
 
 def wseries_dev(

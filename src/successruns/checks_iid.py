@@ -22,6 +22,7 @@ from .checks import (
     double_gf_slice,
     drive_sequence,
     finding,
+    longest_rows,
     pad_dev,
     recurrence_residual,
     rel_dev,
@@ -39,7 +40,7 @@ from .checks import (
     wseries_dev,
 )
 from .fibk import char_roots, fib_k
-from .geometric import longest_run_pmf, vk_pgf
+from .geometric import vk_pgf
 from .models import IID, Markov
 from .polyseries import Poly, RationalGF
 from .rth_waiting import Scheme, occurrence_factors
@@ -64,12 +65,6 @@ _CNT_PAR = f"{_PS}; k in {{2, 3}}; n <= {CMAX}"
 def _char_iid(p: float, k: int) -> Poly:
     """1 - z + q p^k z^{k+1}, the k-step characteristic polynomial."""
     return Poly((1.0, -1.0)) + Poly.term((1.0 - p) * p**k, k + 1)
-
-
-def _dense(pm, hi) -> np.ndarray:
-    row = np.zeros(hi + 1)
-    row[pm.offset : pm.offset + len(pm.probs)] = pm.probs
-    return row
 
 
 def _drive_wtable(inits, terms, nmax, width) -> np.ndarray:
@@ -387,7 +382,7 @@ def _longest_run() -> list[CheckResult]:
     for p in IID_PS:
         model = IID(p)
         q = 1.0 - p
-        lp = {n: _dense(longest_run_pmf(model, n), n) for n in range(41)}
+        lp = longest_rows(model, 40)
         for k in range(1, 5):
             vrow = vk_row(model, k, VMAX)
             cdf = np.cumsum(vrow)
@@ -420,7 +415,7 @@ def _longest_run() -> list[CheckResult]:
     dev = 0.0
     z1 = Poly((1.0, -1.0))
     for model in tuple(IID(p) for p in IID_PS) + CHAIN_MODELS:
-        slices = {n: _dense(longest_run_pmf(model, n), n) for n in range(31)}
+        slices = longest_rows(model, 40)
         for k in range(1, 5):
             gk = vk_pgf(model, k)
             gk1 = vk_pgf(model, k + 1)
@@ -452,7 +447,7 @@ def _longest_run() -> list[CheckResult]:
     for p in IID_PS:
         model = IID(p)
         q = 1.0 - p
-        slices = {n: _dense(longest_run_pmf(model, n), n) for n in range(31)}
+        slices = longest_rows(model, 40)
         for k in (2, 3, 4):
             t = p ** (2 * k + 2) * q
             pnum = (
@@ -492,7 +487,7 @@ def _longest_run() -> list[CheckResult]:
     for p in IID_PS:
         model = IID(p)
         q = 1.0 - p
-        slices = {n: _dense(longest_run_pmf(model, n), n) for n in range(31)}
+        slices = longest_rows(model, 40)
         for k in (2, 3, 4):
             t = p ** (2 * k + 2) * q
             taps = (

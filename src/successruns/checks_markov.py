@@ -22,6 +22,7 @@ from .checks import (
     double_gf_slice,
     drive_sequence,
     finding,
+    longest_rows,
     not_transcribed,
     recurrence_residual,
     rel_dev,
@@ -38,7 +39,6 @@ from .checks import (
     wpoly_residual,
     wseries_dev,
 )
-from .geometric import longest_run_pmf
 from .models import Markov
 from .polyseries import Poly, RationalGF
 from .rth_waiting import Scheme, trk_pgf
@@ -70,12 +70,6 @@ def _big_r(a: float, b: float, k: int) -> Poly:
     """(1 - alpha z) times the k-step chain characteristic polynomial."""
     c = a ** (k - 1) * (1.0 - a) * (1.0 - b)
     return Poly((1.0, -(a + b), -(1.0 - a - b))) + Poly.term(c, k + 1)
-
-
-def _dense(pm, hi) -> np.ndarray:
-    row = np.zeros(hi + 1)
-    row[pm.offset : pm.offset + len(pm.probs)] = pm.probs
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ def _longest_run() -> list[CheckResult]:
     dev = 0.0
     for m in MODELS:
         p, q, a, b = m.p1, m.q1, m.alpha, m.beta
-        slices = {n: _dense(longest_run_pmf(m, n), n) for n in range(31)}
+        slices = longest_rows(m, 40)
         for k in KS:
             c = a ** (k - 1) * (1.0 - a) * (1.0 - b)
             pnum = (
@@ -441,7 +435,7 @@ def _longest_run() -> list[CheckResult]:
     dev = 0.0
     for m in MODELS:
         p, q, a, b = m.p1, m.q1, m.alpha, m.beta
-        slices = {n: _dense(longest_run_pmf(m, n), n) for n in range(31)}
+        slices = longest_rows(m, 40)
         for k in KS:
             c = a ** (k - 1) * (1.0 - a) * (1.0 - b)
             taps = (

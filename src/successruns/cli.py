@@ -244,7 +244,7 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
             _require(n is not None and n >= 1, "--n must be a positive integer")
             pm = longest_run_pmf(model, n)
             params["n"] = n
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     OutputRecord(kind, params, _pmf_payload(pm)).emit(fmt)
 
@@ -283,7 +283,7 @@ def cmd_moments(iid, markov, stat, k, r, scheme, n, fmt):
             _require(n is not None and n >= 1, "--n must be a positive integer")
             mom = counts_moments(model, n, k, sch)
             params.update({"n": n, "scheme": sch.value})
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     payload = {
         "mean": mom.mean,

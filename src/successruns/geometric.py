@@ -362,11 +362,12 @@ def vk_pmf_closedform_k2(model: TrialModel, v: int) -> float:
 
 
 def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:
-    """P(V(k) <= n) for consecutive run lengths ks, in one pass.
+    """P(V(k) <= m) for consecutive run lengths ks, every m <= n, one pass.
 
     Row k runs the h recursion with its lags cut at k; all rows advance
     together, one trial index at a time, each step one weighted sum over
-    the window of the last `width` values.
+    the window of the last `width` values.  Entry [t, i] of the result is
+    P(V(ks[i]) <= ks[i] + t): the run prefix times the sum of h_1..h_{t+1}.
     """
     count = n - int(ks[0]) + 1  # the first row needs the most values
     width = min(int(ks[-1]), count - 1)
@@ -377,52 +378,43 @@ def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:
     h[width : width + len(seeds)] = seeds[:, None]
     for t in range(len(seeds), count):
         h[width + t] = np.einsum("mr,mr->r", weights, h[t : t + width])
-    needed = np.arange(count)[:, None] < (n - ks + 1)  # h_1..h_{n-k+1}
-    return _run_prefix_prob(model, ks) * (h[width:] * needed).sum(axis=0)
+    return _run_prefix_prob(model, ks) * np.cumsum(h[width:], axis=0)
+
+
+def _longest_laws(model: TrialModel, horizons: range) -> list[Pmf]:
+    """Laws of the longest success run in n trials, each n in horizons.
+
+    Uses P(longest >= k) = P(V(k) <= n), differencing consecutive k.  The
+    waiting-time laws for every k come from one pass of the shared
+    recursion to the last horizon, _LONGEST_CHUNK run lengths at a time,
+    and every horizon reads its P(V(k) <= n) off the same cumulative sums.
+    The support 0..n is complete, so each tail is exactly zero.
+    """
+    if not horizons:
+        return []
+    nmax = horizons[-1]
+    # cdf[k - 1] = P(V(k) <= n) at k = 1..n+1; zero for k = n+1
+    cdfs = [np.zeros(n + 1) for n in horizons]
+    for first in range(1, nmax + 1, _LONGEST_CHUNK):
+        ks = np.arange(first, min(first + _LONGEST_CHUNK, nmax + 1))
+        sums = _first_run_cdfs(model, ks, nmax)
+        for n, cdf in zip(horizons, cdfs):
+            reach = ks[ks <= n]
+            cdf[reach - 1] = sums[n - reach, reach - first]
+    laws = []
+    for cdf in cdfs:
+        probs = np.empty(len(cdf))
+        probs[0] = 1.0 - cdf[0]
+        probs[1:] = cdf[:-1] - cdf[1:]
+        laws.append(Pmf(offset=0, probs=probs))
+    return laws
 
 
 def longest_run_pmf(model: TrialModel, n: int) -> Pmf:
     """Distribution of the longest success run over n trials.
 
-    Uses P(longest >= k) = P(V(k) <= n), differencing consecutive k.  The
-    waiting-time laws for every k come from one pass of the shared
-    recursion, _LONGEST_CHUNK run lengths at a time.  The support 0..n is
-    complete, so the tail is exactly zero.
+    Reads the one row of :func:`_longest_laws` at horizon n.
     """
     if n < 0:
         raise ValueError(f"horizon n must be >= 0, got {n}")
-    if n == 0:
-        return Pmf(offset=0, probs=np.array([1.0]))
-    cdf = np.zeros(n + 1)  # P(V(k) <= n) at k = 1..n+1; zero for k = n+1
-    for first in range(1, n + 1, _LONGEST_CHUNK):
-        ks = np.arange(first, min(first + _LONGEST_CHUNK, n + 1))
-        cdf[ks - 1] = _first_run_cdfs(model, ks, n)
-    probs = np.empty(n + 1)
-    probs[0] = 1.0 - cdf[0]
-    probs[1:] = cdf[:-1] - cdf[1:]
-    return Pmf(offset=0, probs=probs)
-
-
-def longest_run_gf(model: TrialModel, k: int) -> RationalGF:
-    """Generating function over n of P(longest run in n trials = k).
-
-    Built programmatically from the waiting-time pgfs:
-    (G_k(z) - G_{k+1}(z)) / (1 - z), and (1 - G_1(z)) / (1 - z) for k = 0.
-    The rational function is assembled by polynomial arithmetic; nothing here
-    is transcribed from any expanded coefficient table.
-    """
-    if k < 0:
-        raise ValueError(f"run length k must be >= 0, got {k}")
-    inv_1mz = RationalGF(Poly((1.0,)), Poly((1.0, -1.0)))
-    if k == 0:
-        return (RationalGF.one() - vk_pgf(model, 1)) * inv_1mz
-    return (vk_pgf(model, k) - vk_pgf(model, k + 1)) * inv_1mz
-
-
-def longest_run_recursive(model: TrialModel, n: int, k: int) -> float:
-    """P(longest run in n trials = k) via series extraction of the gf."""
-    if n < 0:
-        raise ValueError(f"horizon n must be >= 0, got {n}")
-    if k > n:
-        return 0.0
-    return longest_run_gf(model, k).series(n)[n]
+    return _longest_laws(model, range(n, n + 1))[0]

@@ -153,6 +153,24 @@ class RationalGF:
                 base = base * base
         return result
 
+    def powers(self, emax: int) -> list["RationalGF"]:
+        """[self**0, ..., self**emax], one product per power.
+
+        ``__pow__`` multiplies the squares self**(2**i) into ``one()`` in
+        ascending bit order, so self**e is self**(e - 2**t) times the square
+        at e's top bit t, bit for bit; each power here is that one product.
+        """
+        if not isinstance(emax, int) or emax < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        squares = [self]
+        while (1 << len(squares)) <= emax:
+            squares.append(squares[-1] * squares[-1])
+        out = [RationalGF.one()]
+        for e in range(1, emax + 1):
+            top = e.bit_length() - 1
+            out.append(out[e - (1 << top)] * squares[top])
+        return out
+
     def __call__(self, z: float) -> float:
         return self.num(z) / self.den(z)
 

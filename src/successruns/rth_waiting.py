@@ -24,13 +24,13 @@ the cross-check suites hold them to 1e-9 of each other.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .geometric import markov_vk_pgf, vk_pgf, vk_pmf
 from .models import IID, ConsistencyError, Markov, Pmf, TrialModel
-from .polyseries import Poly, RationalGF
+from .polyseries import Moments, Poly, RationalGF
 
 
 class Scheme(enum.Enum):
@@ -103,13 +103,18 @@ def _check_mass(
     h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme
 ) -> None:
     """Raise ConsistencyError unless H and A each have unit mass at z = 1."""
+    where = f"for k={k}, r={r}, scheme={Scheme.from_label(scheme).value}"
     for name, factor in (("first-occurrence", h), ("inter-occurrence", a)):
-        mass = factor(1.0)
+        den1 = factor.den(1.0)
+        if den1 == 0.0:
+            raise ConsistencyError(
+                f"{name} factor denominator is 0 at z=1 {where}"
+            )
+        mass = factor.num(1.0) / den1
         if abs(mass - 1.0) > 1e-9:
             raise ConsistencyError(
                 f"{name} factor mass at z=1 is {mass!r} (deviation "
-                f"{mass - 1.0:.3e}) for k={k}, r={r}, "
-                f"scheme={Scheme.from_label(scheme).value}"
+                f"{mass - 1.0:.3e}) {where}"
             )
 
 
@@ -161,20 +166,35 @@ def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
 
 
 def _rth_series(
-    h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme, nmax: int
-) -> tuple[int, np.ndarray | None]:
-    """Offset and raw coefficients offset..nmax of H * A**(r-1).
+    h: RationalGF, power: RationalGF, offset: int, nmax: int
+) -> np.ndarray:
+    """Raw coefficients offset..nmax of H * A**(r-1), given power = A**(r-1).
 
-    The coefficients are None when the support starts beyond nmax; then no
-    series is extracted and the factors' mass is not checked.  The series is
-    causal, so its first n + 1 coefficients are the same for every nmax >= n.
+    The series is causal, so its first n + 1 coefficients are the same for
+    every nmax >= n.
     """
-    offset = _support_start(h, a, r)
-    if offset > nmax:
-        return offset, None
-    _check_mass(h, a, k, r, scheme)
-    coeffs = (h * a ** (r - 1)).series(nmax)
-    return offset, np.asarray(coeffs[offset:], dtype=np.float64)
+    coeffs = (h * power).series(nmax)
+    return np.asarray(coeffs[offset:], dtype=np.float64)
+
+
+def _rth_rows(
+    h: RationalGF, a: RationalGF, k: int, scheme: Scheme, rmax: int, nmax: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(r, offset, raw coefficients offset..nmax) of H * A**(r-1) for each
+    r = 1..rmax whose support starts by nmax.
+
+    Offsets grow with r, so those r are 1..R for some R.  The factors' mass
+    is checked once, before the first series is extracted, and one power
+    ladder (:meth:`RationalGF.powers`) serves every r.
+    """
+    starts = (_support_start(h, a, r) for r in range(1, rmax + 1))
+    offsets = [offset for offset in starts if offset <= nmax]
+    if not offsets:
+        return
+    _check_mass(h, a, k, 1, scheme)
+    powers = a.powers(len(offsets) - 1)
+    for r, (offset, power) in enumerate(zip(offsets, powers), start=1):
+        yield r, offset, _rth_series(h, power, offset, nmax)
 
 
 def trk_pmf(
@@ -188,9 +208,11 @@ def trk_pmf(
     """
     _validate_query(k, r)
     h, a = occurrence_factors(model, k, scheme)
-    offset, probs = _rth_series(h, a, k, r, scheme, nmax)
-    if probs is None:
+    offset = _support_start(h, a, r)
+    if offset > nmax:
         return Pmf(offset=offset, probs=np.zeros(0), tail=1.0)
+    _check_mass(h, a, k, r, scheme)
+    probs = _rth_series(h, a ** (r - 1), offset, nmax)
     return Pmf(offset=offset, probs=probs, tail=1.0 - float(probs.sum()))
 
 
@@ -269,14 +291,20 @@ class RunMoments(NamedTuple):
 def trk_moments(model: TrialModel, k: int, r: int, scheme: Scheme) -> RunMoments:
     """Mean and second raw moment of the r-th occurrence time.
 
-    The time is T = H + S, where S is the sum of r - 1 independent copies
-    of A, so the moments are composed from each factor's own:
-    E[T] = E[H] + (r-1) E[A], Var[S] = (r-1) Var[A] and
-    E[T^2] = E[H^2] + 2 E[H] E[S] + E[S^2].  Differentiating the expanded
-    pgf H * A**(r-1) at z = 1 instead divides by den(1)**(r-1), which
-    underflows for large r.
+    Composed from the factors' own moments (:func:`_compose_moments`);
+    differentiating the expanded pgf H * A**(r-1) at z = 1 instead divides
+    by den(1)**(r-1), which underflows for large r.
     """
-    h, a = (f.moments_at_one() for f in _checked_factors(model, k, r, scheme))
+    h, a = _checked_factors(model, k, r, scheme)
+    return _compose_moments(h.moments_at_one(), a.moments_at_one(), r)
+
+
+def _compose_moments(h: Moments, a: Moments, r: int) -> RunMoments:
+    """Moments of T = H + S, S the sum of r - 1 independent copies of A.
+
+    E[T] = E[H] + (r-1) E[A], Var[S] = (r-1) Var[A] and
+    E[T^2] = E[H^2] + 2 E[H] E[S] + E[S^2].
+    """
     s_mean = (r - 1) * a.mean
     s_var = (r - 1) * (a.second_factorial + a.mean - a.mean**2)
     return RunMoments(

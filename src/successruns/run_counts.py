@@ -24,7 +24,7 @@ import numpy as np
 
 from .models import Pmf, TrialModel
 from .polyseries import Poly
-from .rth_waiting import RunMoments, Scheme, _rth_series, occurrence_factors
+from .rth_waiting import RunMoments, Scheme, _rth_rows, occurrence_factors
 
 
 def _as_bits(bits) -> list[int]:
@@ -128,19 +128,17 @@ def _count_laws(
     time.  The series of T_x's pgf H * A**(x-1) is causal, so it is extracted
     once, to the last horizon, and P(T_x <= n) is the sum of its first
     n - offset + 1 entries: the prefix that trk_pmf(..., nmax=n) sums, under
-    the same entry, tail and total checks.
+    the same entry, tail and total checks.  One power ladder gives every
+    A**(x-1).
     """
     if not horizons:
         return []
     scheme = Scheme.from_label(scheme)
     xmaxes = [max_count(n, k, scheme) for n in horizons]
     h, a = occurrence_factors(model, k, scheme)
-    nmax = horizons[-1]
     cdfs = np.zeros((len(horizons), xmaxes[-1] + 2))  # [i, x-1] = P(T_x <= n_i)
-    for x in range(1, xmaxes[-1] + 2):
-        offset, raw = _rth_series(h, a, k, x, scheme, nmax)
-        if raw is None:
-            continue
+    rows = _rth_rows(h, a, k, scheme, xmaxes[-1] + 1, horizons[-1])
+    for x, offset, raw in rows:
         probs = Pmf(offset=offset, probs=raw, tail=1.0 - float(raw.sum())).probs
         if not (raw < 0.0).any():
             raw = probs  # nothing was clamped: the two sums agree

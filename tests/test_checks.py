@@ -4,19 +4,33 @@ import json
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 
+from successruns import checks_iid, checks_markov
 from successruns.checks import (
     TOL,
     CheckResult,
     EXPECTED_STATUS,
     counts_rows,
     diff_expected,
+    longest_rows,
     run_all,
+    trk_mean,
+    trk_rows,
+    trk_second,
     write_ledger,
 )
+from successruns.geometric import longest_run_pmf
 from successruns.models import IID, Markov
+from successruns.rth_waiting import trk_moments, trk_pmf
 from successruns.run_counts import counts_pmf
+
+CATALOG_MODELS = (
+    tuple(IID(p) for p in checks_iid.IID_PS)
+    + checks_iid.CHAIN_MODELS
+    + checks_markov.MODELS
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +92,45 @@ def test_count_tables_hold_the_laws_counts_pmf_gives():
             alone = counts_pmf(model, n, k, scheme)
             assert row.probs.tobytes() == alone.probs.tobytes()
             assert (row.offset, row.tail) == (alone.offset, alone.tail)
+
+
+def test_rth_run_tables_hold_the_laws_trk_pmf_gives():
+    # one power ladder serves every r of the table; row r is the table
+    # trk_pmf gives for that r alone, including rows that start past nmax
+    for model, k, scheme in product(
+        (IID(0.35), Markov(0.62, 0.55, 0.35)), (1, 2, 3), ("I", "II", "III")
+    ):
+        table = trk_rows.__wrapped__(model, k, scheme, 8, 20)
+        for r in range(1, 9):
+            pm = trk_pmf(model, k, r, scheme, nmax=20)
+            row = np.zeros(21)
+            row[pm.offset : pm.offset + len(pm.probs)] = pm.probs
+            assert table[r].tobytes() == row.tobytes()
+
+
+def test_longest_tables_hold_the_laws_longest_run_pmf_gives():
+    # one pass to n = 40 serves every horizon the catalog reads
+    for model in CATALOG_MODELS:
+        rows = longest_rows.__wrapped__(model, 40)
+        assert len(rows) == 41
+        for n, row in enumerate(rows):
+            pm = longest_run_pmf(model, n)
+            dense = np.zeros(n + 1)
+            dense[pm.offset : pm.offset + len(pm.probs)] = pm.probs
+            assert row.tobytes() == dense.tobytes()
+
+
+def test_rth_run_moments_compose_as_trk_moments_does():
+    for model, k, scheme in product(
+        (IID(0.5), Markov(0.45, 0.3, 0.6)), (2, 3), ("I", "II", "III")
+    ):
+        for r in (1, 2, 7):
+            want = trk_moments(model, k, r, scheme)
+            assert trk_mean.__wrapped__(model, k, scheme, r) == want.mean
+            assert (
+                trk_second.__wrapped__(model, k, scheme, r)
+                == want.second_moment
+            )
 
 
 def test_count_tables_fail_where_a_horizon_fails():

@@ -380,3 +380,24 @@ def test_main_releases_the_streams_it_wrote_to():
         del out, err
     gc.collect()
     assert [ref() is None for ref in refs] == [True] * len(refs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--iid", "0.05", "--stat", "vk", "--k", "6"],
+        ["moments", "--iid", "0.02", "--stat", "vk", "--k", "12"],
+        ["pmf", "--iid", "0.05", "--stat", "counts", "--k", "6", "--n", "20"],
+        ["pmf", "--iid", "0.02", "--stat", "trk", "--k", "12", "--r", "1",
+         "--vmax", "30"],
+    ],
+)
+def test_rare_success_queries_answer_or_fail_in_one_line(capsys, argv):
+    # the factor mass checks cancel badly at small p and long runs; a query
+    # either gives its record or fails with one line on stderr
+    code, out, err = run(capsys, *argv)
+    if code == 0:
+        parse(out)
+    else:
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,11 +14,10 @@ from successruns.geometric import (
     _h_sequence,
     _HPlan,
     _lags,
+    _longest_laws,
     _seeds,
     default_vmax,
-    longest_run_gf,
     longest_run_pmf,
-    longest_run_recursive,
     markov_vk_pgf,
     mean_wait,
     vk_pgf,
@@ -151,17 +150,33 @@ def test_longest_run_mass_is_exact(model, n):
 def test_longest_run_routes_agree(model):
     for n in (3, 8, 14):
         pm = longest_run_pmf(model, n)
+        exact = enumerate_exact(model, n, LongestRun())
         for k in range(0, n + 1):
-            assert abs(pm.p(k) - longest_run_recursive(model, n, k)) < 1e-12
+            assert abs(pm.p(k) - exact.p(k)) < 1e-12
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_longest_run_gf_expands_to_pmf(model):
-    nmax = 20
+def test_longest_run_columns_match_enumeration(model):
+    # P(longest = k) along n for fixed k: what the longest-run generating
+    # function in n expands to
+    exact = {n: enumerate_exact(model, n, LongestRun()) for n in (2, 7, 20)}
     for k in (0, 1, 2, 4):
-        series = longest_run_gf(model, k).series(nmax)
-        for n in (2, 7, nmax):
-            assert abs(series[n] - longest_run_pmf(model, n).p(k)) < 1e-10
+        for n, law in exact.items():
+            assert abs(law.p(k) - longest_run_pmf(model, n).p(k)) < 1e-10
+
+
+def test_longest_laws_for_many_horizons_past_one_chunk():
+    # past the first chunk of run lengths, one pass to n = 130 sums a wider
+    # window of the recursion than a pass to a shorter horizon does; the
+    # extra terms are exact zeros, but a numpy build may associate the
+    # window's sum differently, which moves an entry by a few 1e-16
+    model, nmax = IID(0.62), 2 * _LONGEST_CHUNK + 2
+    laws = _longest_laws(model, range(nmax + 1))
+    assert len(laws) == nmax + 1
+    for n, law in enumerate(laws):
+        alone = longest_run_pmf(model, n)
+        assert (law.offset, law.tail, len(law.probs)) == (0, 0.0, n + 1)
+        np.testing.assert_allclose(law.probs, alone.probs, rtol=0, atol=1e-15)
 
 
 def test_longest_run_duality_with_waiting_time():

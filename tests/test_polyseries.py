@@ -145,6 +145,14 @@ def test_power_matches_repeated_product():
         f**0.5
 
 
+def test_power_ladder_is_the_powers_bit_for_bit():
+    f = RationalGF(Poly((0.5, 0.5)), Poly((1.0, -0.25)))
+    assert f.powers(0) == [RationalGF.one()]
+    assert f.powers(37) == [f**e for e in range(38)]
+    with pytest.raises(ValueError):
+        f.powers(-1)
+
+
 def test_moments_at_one_geometric():
     # waiting time of a fair coin's first head: pgf pz / (1 - qz)
     p, q = 0.5, 0.5

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from successruns.geometric import vk_pmf
-from successruns.models import IID, Markov, tv_distance
+from successruns.models import IID, ConsistencyError, Markov, tv_distance
+from successruns.polyseries import Poly, RationalGF
 from successruns.rth_waiting import (
     Scheme,
+    _check_mass,
     crosscheck_pmf_routes,
     min_support,
+    occurrence_factors,
     trk_moments,
     trk_pgf,
     trk_pmf,
@@ -142,3 +145,29 @@ def test_rejects_bad_arguments():
         trk_pmf(IID(0.5), 0, 1, Scheme.NON_OVERLAPPING, 10)
     with pytest.raises(ValueError):
         trk_pmf(IID(0.5), 2, 0, Scheme.NON_OVERLAPPING, 10)
+
+
+@pytest.mark.parametrize("model", [IID(0.35), Markov(0.45, 0.3, 0.6)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("k", [1, 3])
+def test_power_ladder_equals_repeated_squaring(model, scheme, k):
+    # the ladder's tables must stay bit-identical to the per-r route
+    for factor in occurrence_factors(model, k, scheme):
+        ladder = factor.powers(60)
+        assert len(ladder) == 61
+        for e, power in enumerate(ladder):
+            want = factor**e
+            assert power.num.coeffs == want.num.coeffs, e
+            assert power.den.coeffs == want.den.coeffs, e
+
+
+def test_mass_check_names_a_denominator_that_vanishes_at_one():
+    # at p = 0.02 and k = 12 the first-run pgf's denominator sums to 0.0
+    h, a = occurrence_factors(IID(0.02), 12, Scheme.NON_OVERLAPPING)
+    assert h.den(1.0) == 0.0
+    with pytest.raises(ConsistencyError, match="denominator is 0 at z=1"):
+        _check_mass(h, a, 12, 1, Scheme.NON_OVERLAPPING)
+    h, _ = occurrence_factors(IID(0.5), 1, Scheme.AT_LEAST)
+    vanishing = RationalGF(Poly((0.0, 1.0)), Poly((1.0, -1.0)))
+    with pytest.raises(ConsistencyError, match="inter-occurrence"):
+        _check_mass(h, vanishing, 1, 2, Scheme.AT_LEAST)
