@@ -19,6 +19,19 @@ Statuses:
 * ``NOT_TRANSCRIBED`` — the printed form references symbols that are never
   defined, so there is nothing to evaluate.
 
+An entry is declared by decorating a function that measures the printed
+form at one sweep point::
+
+    @entry(GROUP, "iid-vk-pgf-k2", "L410", "p in {...}; v <= 60", P_POINTS)
+    def _(p):
+        return seq_dev(printed_series(p), vk_row(IID(p), 2, 60))
+
+``entry`` records the id, anchor, parameter description, sweep and note;
+``measure(GROUP)`` is the only place that walks a sweep, takes the worst
+deviation over its points and turns it into a ``CheckResult``.  Each catalog
+module exposes one zero-argument function per group, listed in its
+``CATALOG`` tuple.
+
 ``run_all`` executes the whole catalog, ``write_ledger`` persists it as
 newline-delimited JSON, and ``EXPECTED_STATUS`` pins the reviewed status of
 every entry so any drift (an engine regression, or a transcription edit)
@@ -99,6 +112,62 @@ def not_transcribed(
     )
 
 
+@dataclass(frozen=True)
+class Entry:
+    """One printed form: its record fields and how to measure it.
+
+    ``deviation(*point)`` is the disagreement at one point of ``sweep``.
+    """
+
+    formula_id: str
+    anchor: str
+    parameters: str
+    sweep: tuple[tuple, ...]
+    deviation: Callable[..., float]
+    note: str = ""
+
+
+#: Entries by group, in declaration order.  Filled once, as the catalog
+#: modules are imported.
+_GROUPS: dict[str, list[Entry]] = {}
+
+
+def entry(
+    group: str,
+    formula_id: str,
+    anchor: str,
+    parameters: str,
+    sweep: Iterable[tuple],
+    note: str = "",
+) -> Callable[[Callable[..., float]], Callable[..., float]]:
+    """Register the decorated deviation function as an entry of ``group``.
+
+    An empty sweep is refused: it would measure nothing and still read as
+    CONFIRMED.
+    """
+    points = tuple(sweep)
+    if not points:
+        raise ValueError(f"{formula_id}: empty sweep")
+
+    def register(fn: Callable[..., float]) -> Callable[..., float]:
+        record = Entry(formula_id, anchor, parameters, points, fn, note)
+        _GROUPS.setdefault(group, []).append(record)
+        return fn
+
+    return register
+
+
+def measure(group: str) -> list[CheckResult]:
+    """Every entry of ``group``, judged on its worst deviation over its sweep."""
+    out = []
+    for rec in _GROUPS[group]:
+        dev = 0.0
+        for point in rec.sweep:
+            dev = max(dev, rec.deviation(*point))
+        out.append(finding(rec.formula_id, rec.anchor, dev, rec.parameters, rec.note))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # comparison helpers
 
@@ -136,6 +205,16 @@ def pad_dev(a: Sequence[float], b: Sequence[float]) -> float:
 def rel_dev(printed: float, truth: float) -> float:
     """Deviation normalized by max(1, |truth|), for moment-scale values."""
     return abs(printed - truth) / max(1.0, abs(truth))
+
+
+def slice_dev(
+    series: Sequence[float], slices: Sequence[np.ndarray], k: int
+) -> float:
+    """Max gap of series[n] from P(longest run in n trials = k), over n."""
+    return max(
+        abs(series[n] - (slices[n][k] if k <= n else 0.0))
+        for n in range(len(series))
+    )
 
 
 def recurrence_residual(
@@ -410,6 +489,19 @@ def trk_mean(model: TrialModel, k: int, scheme: Scheme, r: int) -> float:
 def trk_second(model: TrialModel, k: int, scheme: Scheme, r: int) -> float:
     """E[T_{r,k}^2], as trk_moments composes it."""
     return _compose_moments(*_factor_moments(model, k, scheme), r).second_moment
+
+
+def moment_row(
+    moment: Callable[[TrialModel, int, Scheme, int], float],
+    model: TrialModel,
+    k: int,
+    scheme: Scheme,
+    rmax: int,
+) -> np.ndarray:
+    """[0, moment(r = 1), ..., moment(r = rmax)] for trk_mean or trk_second."""
+    return np.array(
+        [0.0] + [moment(model, k, scheme, r) for r in range(1, rmax + 1)]
+    )
 
 
 def wseries_dev(

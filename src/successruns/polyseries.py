@@ -11,7 +11,6 @@ below only ever needs the normalized coefficient arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -215,22 +214,3 @@ class RationalGF:
             npp1 * d1**2 - n1 * dpp1 * d1 - 2.0 * np1 * dp1 * d1 + 2.0 * n1 * dp1**2
         ) / d1**3
         return Moments(mass=mass, mean=mean, second_factorial=second)
-
-
-def geometric_ratio(coeffs: list[float], burn: int = 10) -> float:
-    """Estimate the asymptotic ratio c_{n+1}/c_n of a decaying series tail.
-
-    Used to pick truncation horizons.  Returns a value in (0, 1) or raises if
-    the tail is too short or not decaying.
-    """
-    pairs = [
-        (coeffs[i], coeffs[i + 1])
-        for i in range(max(burn, len(coeffs) - 5), len(coeffs) - 1)
-        if coeffs[i] > 0.0 and coeffs[i + 1] > 0.0
-    ]
-    if not pairs:
-        raise ValueError("series tail too short to estimate decay ratio")
-    rho = max(b / a for a, b in pairs)
-    if not (0.0 < rho < 1.0) or not math.isfinite(rho):
-        raise ValueError(f"series does not decay geometrically (ratio {rho})")
-    return rho

@@ -1,20 +1,26 @@
 """The formula verification catalog and its drift detection."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from successruns import checks_iid, checks_markov
+import successruns
+from successruns import checks, checks_iid, checks_markov
 from successruns.checks import (
     TOL,
     CheckResult,
     EXPECTED_STATUS,
     counts_rows,
     diff_expected,
+    entry,
     longest_rows,
+    measure,
     run_all,
     trk_mean,
     trk_rows,
@@ -174,3 +180,59 @@ def test_ledger_round_trips(results, tmp_path):
             assert row["max_deviation"] is None
         else:
             assert row["max_deviation"] == pytest.approx(r.max_deviation)
+
+
+@pytest.fixture
+def group(monkeypatch):
+    # a registry group that exists for one test only
+    monkeypatch.setitem(checks._GROUPS, "test-only", [])
+    return "test-only"
+
+
+def test_measure_keeps_the_worst_point_and_tol_itself_confirms(group):
+    @entry(group, "t-worst", "L1", "x in {1, 3, 2}", [(1,), (3,), (2,)], note="n")
+    def _(x):
+        return x / 8.0
+
+    @entry(group, "t-tol", "L2", "x = TOL", [(TOL,), (0.0,)])
+    def _(x):
+        return x
+
+    worst, at_tol = measure(group)
+    assert worst == CheckResult(
+        "t-worst", "L1", "ERRATUM", 0.375, "x in {1, 3, 2}", "n"
+    )
+    assert at_tol == CheckResult("t-tol", "L2", "CONFIRMED", TOL, "x = TOL")
+
+
+def test_an_entry_with_an_empty_sweep_is_refused(group):
+    with pytest.raises(ValueError, match="t-empty: empty sweep"):
+        entry(group, "t-empty", "L1", "nothing", (point for point in ()))
+    assert measure(group) == []
+
+
+def test_an_error_in_an_entry_reaches_the_caller(group):
+    @entry(group, "t-raises", "L1", "x = 1", [(1,)])
+    def _(x):
+        raise ZeroDivisionError("inside the entry")
+
+    with pytest.raises(ZeroDivisionError, match="inside the entry"):
+        measure(group)
+
+
+def test_importing_the_package_leaves_the_catalog_unloaded():
+    src = os.path.dirname(os.path.dirname(successruns.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, successruns; "
+        "print(sorted(m for m in sys.modules if m.startswith('successruns.checks_')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from successruns.polyseries import Moments, Poly, RationalGF, geometric_ratio
+from successruns.polyseries import Moments, Poly, RationalGF
 
 coeff = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -174,11 +174,3 @@ def test_moments_at_one_rejects_pole():
 def test_series_rejects_negative_horizon():
     with pytest.raises(ValueError):
         RationalGF.one().series(-1)
-
-
-def test_geometric_ratio_estimates_decay():
-    rho = 0.7
-    coeffs = [rho**n for n in range(40)]
-    assert abs(geometric_ratio(coeffs) - rho) < 1e-9
-    with pytest.raises(ValueError):
-        geometric_ratio([1.0, 0.5])
