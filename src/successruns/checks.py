@@ -52,11 +52,12 @@ from .models import Pmf, TrialModel
 from .polyseries import Moments, Poly, RationalGF
 from .rth_waiting import (
     Scheme,
-    _checked_factors,
+    _check_mass,
     _compose_moments,
     _rth_rows,
     occurrence_factors,
 )
+from .run_counts import _joint_count_parts
 
 CONFIRMED = "CONFIRMED"
 ERRATUM = "ERRATUM"
@@ -378,6 +379,11 @@ def longest_rows(model: TrialModel, nmax: int) -> tuple[np.ndarray, ...]:
     return tuple(pm.probs for pm in _longest_laws(model, range(nmax + 1)))
 
 
+#: The first- and inter-occurrence factors H and A, built once per
+#: (model, k, scheme) for every table, slice and moment that reads them.
+factors = lru_cache(maxsize=None)(occurrence_factors)
+
+
 @lru_cache(maxsize=None)
 def trk_rows(
     model: TrialModel, k: int, scheme: Scheme, rmax: int, nmax: int
@@ -389,7 +395,7 @@ def trk_rows(
     """
     table = np.zeros((rmax + 1, nmax + 1))
     table[0, 0] = 1.0
-    h, a = occurrence_factors(model, k, scheme)
+    h, a = factors(model, k, scheme)
     for r, offset, raw in _rth_rows(h, a, k, scheme, rmax, nmax):
         pm = Pmf(offset=offset, probs=raw, tail=1.0 - float(raw.sum()))
         table[r, offset : offset + len(pm.probs)] = pm.probs
@@ -414,7 +420,7 @@ def double_gf_slice(
     Includes the r = 0 term (constant 1), matching
     1 + w*H(z) / (1 - w*A(z)) assembled by polynomial arithmetic.
     """
-    h, a = occurrence_factors(model, k, scheme)
+    h, a = factors(model, k, scheme)
     num = h.den * a.den + Poly((w,)) * (h.num * a.den - h.den * a.num)
     den = h.den * (a.den - Poly((w,)) * a.num)
     return RationalGF(num, den)
@@ -425,12 +431,7 @@ def counts_double_gf_slice(
     model: TrialModel, k: int, scheme: Scheme, w: float
 ) -> RationalGF:
     """sum_n G_n(w) z^n at fixed w, where G_n(w) = sum_x P(N_n = x) w^x."""
-    h, a = occurrence_factors(model, k, scheme)
-    one_minus_z = Poly((1.0, -1.0))
-    u0 = (h.den - h.num) * a.den
-    u1 = h.num * a.den - h.den * a.num
-    v0 = one_minus_z * h.den * a.den
-    v1 = -1.0 * (one_minus_z * h.den * a.num)
+    u0, u1, v0, v1 = _joint_count_parts(*factors(model, k, scheme))
     return RationalGF(u0 + Poly((w,)) * u1, v0 + Poly((w,)) * v1)
 
 
@@ -475,7 +476,8 @@ def _factor_moments(
     model: TrialModel, k: int, scheme: Scheme
 ) -> tuple[Moments, Moments]:
     """Moments at z = 1 of the H and A factors, after their mass check."""
-    h, a = _checked_factors(model, k, 1, scheme)
+    h, a = factors(model, k, scheme)
+    _check_mass(h, a, k, 1, scheme)
     return h.moments_at_one(), a.moments_at_one()
 
 

@@ -24,6 +24,7 @@ from .checks import (
     double_gf_slice,
     drive_sequence,
     entry,
+    factors,
     longest_rows,
     measure,
     moment_row,
@@ -48,7 +49,7 @@ from .fibk import char_roots, fib_k
 from .geometric import vk_pgf
 from .models import IID, Markov
 from .polyseries import Poly, RationalGF
-from .rth_waiting import Scheme, occurrence_factors
+from .rth_waiting import Scheme
 
 IID_PS = (0.35, 0.5, 0.62)
 #: Chain parameters for the longest-run transform sweep, whose displays are
@@ -890,7 +891,7 @@ def _(model, k):
     p, q = model.p, model.q
     d = _char_iid(p, k)
     ext = Poly((1.0, -1.0)) + Poly.term(q * p ** (k - 1), k)
-    h_gf, _unused = occurrence_factors(model, k, Scheme.OVERLAPPING)
+    h_gf, _unused = factors(model, k, Scheme.OVERLAPPING)
     rows = trk_rows(model, k, Scheme.OVERLAPPING, RMAX, NMAX)
     num, den = h_gf.num, h_gf.den
     gaps = []

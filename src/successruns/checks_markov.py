@@ -24,6 +24,7 @@ from .checks import (
     double_gf_slice,
     drive_sequence,
     entry,
+    factors,
     longest_rows,
     measure,
     moment_row,
@@ -46,7 +47,7 @@ from .checks import (
 )
 from .models import Markov
 from .polyseries import Poly, RationalGF
-from .rth_waiting import Scheme, occurrence_factors, trk_pgf
+from .rth_waiting import Scheme, trk_pgf
 
 MODELS = (Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35))
 
@@ -494,7 +495,7 @@ def _(m, k):
     num = Poly.term(a ** (k - 1), k - 1) * Poly((0.0, p, q * (1.0 - b) - b * p))
     printed = RationalGF(num, _den_k(a, b, k))
     return max(
-        series_dev(printed, occurrence_factors(m, k, sch)[0], NMAX) for sch in Scheme
+        series_dev(printed, factors(m, k, sch)[0], NMAX) for sch in Scheme
     )
 
 
@@ -505,7 +506,7 @@ def _(m, k):
         (0.0, a, (1.0 - a) * (1.0 - b) - a * b)
     )
     printed = RationalGF(num, _den_k(a, b, k))
-    _, a_gf = occurrence_factors(m, k, Scheme.NON_OVERLAPPING)
+    _, a_gf = factors(m, k, Scheme.NON_OVERLAPPING)
     return series_dev(printed, a_gf, NMAX)
 
 
@@ -519,7 +520,7 @@ def _(m, k):
     )
     den = Poly((1.0, -a)) * _den_k(a, b, k)
     printed = RationalGF(num, den)
-    _, a_gf = occurrence_factors(m, k, Scheme.AT_LEAST)
+    _, a_gf = factors(m, k, Scheme.AT_LEAST)
     return series_dev(printed, a_gf, NMAX)
 
 
@@ -531,7 +532,7 @@ def _(m, k):
         (1.0 - a) * (1.0 - b) * a ** (k - 1), k + 1
     )
     printed = RationalGF(num, den)
-    _, a_gf = occurrence_factors(m, k, Scheme.OVERLAPPING)
+    _, a_gf = factors(m, k, Scheme.OVERLAPPING)
     return series_dev(printed, a_gf, NMAX)
 
 

@@ -366,7 +366,7 @@ def _read_sample(path: str) -> list[int]:
     help="Model family to fit (default: matches the simulation source, "
     "else iid).",
 )
-@click.option("--max-iter", type=int, default=500, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=500, show_default=True)
 @_format_option
 def cmd_fit(
     input_path,

@@ -1,13 +1,13 @@
 """Waiting time to the first run of k consecutive successes.
 
-The distribution is driven by an auxiliary sequence h_v:
-
-* independent trials: h_1 = 1 and
-  h_v = q * (h_{v-1} + p h_{v-2} + ... + p^{k-1} h_{v-k}),
-  with P(V = v) = h_{v-k+1} * p^k;
-* Markov trials: h_1 = p1, h_2 = q1 (1 - beta) and
+The distribution is driven by an auxiliary sequence h_v: h_1 = p1,
+h_2 = q1 (1 - beta) and
   h_v = beta h_{v-1} + (1-alpha)(1-beta) sum_{i=0}^{k-2} alpha^i h_{v-i-2},
-  with P(V = v) = h_{v-k+1} * alpha^(k-1).
+with P(V = v) = h_{v-k+1} alpha^(k-1).  IID(p) is the chain with p1 = alpha
+= p and beta = q, so it runs the same recursion from h_1 = p, h_2 = q p: p
+times the independent-trials h of the paper, whose P(V = v) is
+h_{v-k+1} p^k.  The planned kernel (_HPlan) carries plain values, or jets
+of width 6 for the likelihood's derivatives (see :mod:`.inference`).
 
 At p = 1/2 the independent-trials h sequence is exactly the order-k
 generalized Fibonacci sequence scaled by powers of two, which is what the
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .models import IID, Markov, Pmf, TrialModel
+from .models import IID, Pmf, TrialModel
 from .polyseries import Poly, RationalGF
 
 
@@ -43,8 +43,6 @@ def _lags(model: TrialModel, d: int) -> np.ndarray:
     They do not depend on k: the run length only truncates the lags, so
     every run length of one model shares the same vector.
     """
-    if isinstance(model, IID):
-        return model.q * model.p ** np.arange(d)
     a, b = model.alpha, model.beta
     c = np.empty(d)
     c[:1] = b
@@ -53,9 +51,7 @@ def _lags(model: TrialModel, d: int) -> np.ndarray:
 
 
 def _seeds(model: TrialModel) -> np.ndarray:
-    """The values of h that precede the recursion (h_1, or h_1 and h_2)."""
-    if isinstance(model, IID):
-        return np.array([1.0])
+    """The values of h that precede the recursion, h_1 and h_2."""
     return np.array([model.p1, model.q1 * (1.0 - model.beta)])
 
 
@@ -86,7 +82,7 @@ _JET_PRODUCTS = {width: _jet_products(width) for width in (1, 3, 6)}
 
 class _HPlan:
     """The h recursion of :func:`_h_sequence`, laid out once for every
-    model of one family at one (k, count).
+    model at one (k, count).
 
     Only lags that reach back to h_1 matter, so d = min(k, count - 1) of
     them are kept.  A matrix M maps the last d values to the next B, and
@@ -109,9 +105,9 @@ class _HPlan:
     previous run returned.
     """
 
-    def __init__(self, family: type, k: int, count: int, jet: int = 1):
+    def __init__(self, k: int, count: int, jet: int = 1):
         self._count = max(count, 0)
-        n_seeds = min(1 if family is IID else 2, self._count)  # len(_seeds)
+        n_seeds = min(2, self._count)  # len(_seeds)
         self._jet, self._products = jet, _JET_PRODUCTS[jet]
         self._h = None
         self.lags = 0
@@ -169,7 +165,7 @@ class _HPlan:
 
         `lags` holds the jets of c_1..c_d, shape (d, J), with d =
         ``self.lags``; `seeds` those of the values that precede the
-        recursion, shape (len(_seeds), J).
+        recursion, shape (2, J).
         """
         if self._h is None:
             return seeds[: self._count]
@@ -194,18 +190,9 @@ def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
     """First `count` values h_1..h_count of the auxiliary recursion.
 
     Plans the blocked recursion (:class:`_HPlan`) and runs it once; a
-    caller that runs many models of one family at one horizon keeps the
-    plan instead.
+    caller that runs many models at one horizon keeps the plan instead.
     """
-    return _HPlan(type(model), k, count).run(model)
-
-
-def _run_prefix_prob(model: TrialModel, k: int) -> float:
-    """Probability factor contributed by the final k-success block (per
-    entry when k is an array)."""
-    if isinstance(model, IID):
-        return model.p**k
-    return model.alpha ** (k - 1)
+    return _HPlan(k, count).run(model)
 
 
 def _validate_k(k: int) -> int:
@@ -221,53 +208,65 @@ def mean_wait(model: TrialModel, k: int) -> float:
     it is needed: to describe waits too long to tabulate.
     """
     k = _validate_k(k)
-    with np.errstate(over="ignore"):  # a wait beyond float range is inf
-        if isinstance(model, IID):
-            return float((np.float64(model.p) ** -k - 1.0) / model.q)
-        a, b = model.alpha, model.beta
+    a, b = model.alpha, model.beta
+    try:
         # expected trials after a failure; after a success, 1/(1-b) fewer
-        after_failure = (1.0 / (1.0 - b) + (1.0 - a ** (k - 1)) / (1.0 - a)) * (
-            np.float64(a) ** (1 - k)
-        )
-    return float(1.0 + after_failure - model.p1 / (1.0 - b))
+        stay = (1.0 - a ** (k - 1)) / (1.0 - a)
+        after_failure = (1.0 / (1.0 - b) + stay) * a ** (1 - k)
+    except OverflowError:  # a wait beyond float range
+        return math.inf
+    return 1.0 + after_failure - model.p1 / (1.0 - b)
 
 
-def horizon_error(model: TrialModel, k: int, horizon: int) -> ValueError:
+def horizon_error(model: TrialModel, k: int, horizon: float) -> ValueError:
     """The error for an automatic horizon that would exceed MAX_HORIZON."""
     return ValueError(
         f"the first {k}-run wait has mean {mean_wait(model, k):.6g} trials; "
-        f"covering it takes a horizon of {horizon} trials, above the limit "
+        f"covering it takes a horizon of {horizon:.0f} trials, above the limit "
         f"of {MAX_HORIZON}; pass an explicit horizon where one is accepted "
         "(vmax, or --vmax on the command line)"
     )
 
 
-def default_vmax(model: TrialModel, k: int) -> int:
-    """Truncation horizon leaving under ~1e-12 of mass in the tail.
+def _log_decay(model: TrialModel, k: int) -> float:
+    """log rho for the dominant root rho of the h recursion: the positive
+    root of sum_{j<=k} c_j rho^(-j) = 1.  The weights are non-negative, so
+    no root is larger in modulus, and the pmf decays like rho^v.
 
-    Probes the pmf recursion, estimates the geometric decay ratio rho from
-    successive values, and returns max(10k, ceil(log(1e-12)/log(rho))).
+    In u = log rho the log of the sum is convex and decreasing, so Newton
+    from left of the root climbs to it without overshooting.  Both starts
+    are left of it: the sum's tangent at u = 0 meets 1 there, and the
+    largest (log c_j) / j keeps every term at most 1, so none overflows.
+    """
+    c = _lags(model, k).tolist()
+    log_c = [math.log(x) if x > 0.0 else -math.inf for x in c]  # 0: underflow
+    tangent = (sum(c) - 1.0) / sum(j * x for j, x in enumerate(c, 1))
+    u = max(tangent, max(lc / j for j, lc in enumerate(log_c, 1)))
+    for _ in range(100):  # a handful of steps; the cap only bounds the loop
+        w = [math.exp(lc - j * u) for j, lc in enumerate(log_c, 1)]
+        total = sum(w)
+        step = math.log(total) * total / sum(j * x for j, x in enumerate(w, 1))
+        if not step > 1e-15 * abs(u):
+            break
+        u += step
+    return u
+
+
+def default_vmax(model: TrialModel, k: int) -> int:
+    """Truncation horizon leaving about 1e-12 of mass in the tail.
+
+    Takes the decay ratio rho from the recursion's dominant root
+    (:func:`_log_decay`) and returns max(10k, ceil(log(1e-12)/log(rho))).
     Raises ValueError when that exceeds MAX_HORIZON.
     """
     k = _validate_k(k)
-    probe = max(10 * k, 50)
-    if probe > MAX_HORIZON:
-        raise horizon_error(model, k, probe)
-    h = _h_sequence(model, k, probe)
-    scale = _run_prefix_prob(model, k)
-    tail_vals = [scale * x for x in h[-6:]]
-    rho = None
-    for a, b in zip(tail_vals, tail_vals[1:]):
-        if a > 0.0 and b > 0.0 and b < a:
-            rho = b / a if rho is None else max(rho, b / a)
-    if rho is None or not 0.0 < rho < 1.0:
-        # extremely slow or irregular decay at the probe length; extend hard
-        vmax = probe * 20
-    else:
-        vmax = max(10 * k, math.ceil(math.log(1e-12) / math.log(rho)))
-    if vmax > MAX_HORIZON:
-        raise horizon_error(model, k, vmax)
-    return vmax
+    if 10 * k > MAX_HORIZON:
+        raise horizon_error(model, k, 10 * k)
+    log_rho = _log_decay(model, k)
+    span = math.log(1e-12) / log_rho if log_rho < 0.0 else math.inf
+    if span > MAX_HORIZON:
+        raise horizon_error(model, k, span)
+    return max(10 * k, math.ceil(span))
 
 
 def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
@@ -291,7 +290,7 @@ def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
         vmax = default_vmax(model, k)
     if vmax < k:
         return Pmf(offset=k, probs=np.zeros(0), tail=1.0)
-    probs = _run_prefix_prob(model, k) * _h_sequence(model, k, vmax - k + 1)
+    probs = model.alpha ** (k - 1) * _h_sequence(model, k, vmax - k + 1)
     return Pmf(offset=k, probs=probs, tail=1.0 - float(probs.sum()))
 
 
@@ -378,7 +377,7 @@ def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:
     h[width : width + len(seeds)] = seeds[:, None]
     for t in range(len(seeds), count):
         h[width + t] = np.einsum("mr,mr->r", weights, h[t : t + width])
-    return _run_prefix_prob(model, ks) * np.cumsum(h[width:], axis=0)
+    return model.alpha ** (ks - 1) * np.cumsum(h[width:], axis=0)
 
 
 def _longest_laws(model: TrialModel, horizons: range) -> list[Pmf]:

@@ -4,9 +4,13 @@ The likelihood is the exact waiting-time pmf evaluated at the data, so the
 fit inherits whatever the recursion routes guarantee.  Optimization happens
 in logit space (every parameter lives in the open unit interval) by a
 damped Newton method on the exact score and Hessian.  The h recursion is
-linear in h, so it carries second-order jets (value, first and second
-derivatives) through the same planned kernel; the log-likelihood's value,
-score and Hessian then come from one gather and a few sums.  A small
+linear in h, so it carries second-order jets of width 6 (value, first and
+second derivatives in logit alpha and logit beta) through the same planned
+kernel; the log-likelihood's value, score and Hessian then come from one
+gather and a few sums.  IID(p) is the chain at (logit alpha, logit beta) =
+(x, -x), x = logit p, seeded with h_1 = p and h_2 = q p, so an IID fit steps
+along that line on the same jets, with score g . (1, -1) and second
+derivative (1, -1)' H (1, -1).  A small
 hand-rolled Nelder-Mead stays as the derivative-free reference optimizer
 that the tests hold the Newton fits against.
 
@@ -24,7 +28,6 @@ import numpy as np
 from .geometric import (
     MAX_HORIZON,
     _HPlan,
-    _run_prefix_prob,
     _validate_k,
     mean_wait,
 )
@@ -68,27 +71,26 @@ def loglik_vk(model, k: int, sample) -> float:
     Returns -inf when any observation carries zero probability (which a
     finite-precision pmf can legitimately produce deep in the tail).
     """
-    return _SampleLikelihood(type(model), k, _as_sample(sample, k))(model)
+    return _SampleLikelihood(k, _as_sample(sample, k))(model)
 
 
 class _SampleLikelihood:
-    """loglik_vk of one sample that has passed _as_sample, for any model of
-    one family.
+    """loglik_vk of one sample that has passed _as_sample, for any model.
 
     The h recursion is planned once, up to the largest wait, so each
     evaluation only runs it: lags and seeds in, the products, then a gather
     of the observed entries, scaled by the run's probability.
     """
 
-    def __init__(self, family: type, k: int, arr: np.ndarray):
+    def __init__(self, k: int, arr: np.ndarray):
         self._k = _validate_k(k)
-        self._plan = _HPlan(family, k, int(arr.max()) - k + 1)
+        self._plan = _HPlan(k, int(arr.max()) - k + 1)
         self._at = arr - k
 
     def __call__(self, model) -> float:
         # the gather copies, so the plan's buffer never leaves the plan
         probs = self._plan.run(model)[self._at]
-        probs *= _run_prefix_prob(model, self._k)
+        probs *= model.alpha ** (self._k - 1)
         if (probs <= 0.0).any():
             return -math.inf
         return float(np.log(probs).sum())
@@ -107,27 +109,7 @@ def _exp_jet2(value, dx, dy, dxx, dxy, dyy) -> list[float]:
     ]
 
 
-def _iid_jets(x: np.ndarray, powers: np.ndarray, k: int):
-    """Jets in x = logit p of the lags c_j = q p^(j-1) and the seed h_1 = 1,
-    with the derivatives of log p^k.  None when p rounds to 0 or 1.
-
-    d/dx log c_j = q j - 1 and d2/dx2 log c_j = -p q j, so each lag's jet
-    is c_j times a quadratic in j; `powers` holds (1, j, j^2) per lag.
-    """
-    p = expit(float(x[0]))
-    if not 0.0 < p < 1.0:
-        return None
-    q = 1.0 - p
-    quad = np.array(
-        [[1.0, -1.0, 0.5], [0.0, q, -q - 0.5 * p * q], [0.0, 0.0, 0.5 * q * q]]
-    )
-    lags = powers @ quad
-    lags *= (q * p ** (powers[:, 1] - 1.0))[:, None]
-    seeds = np.array([[1.0, 0.0, 0.0]])
-    return p**k, lags, seeds, np.array([k * q]), np.array([[-k * p * q]])
-
-
-def _markov_jets(x: np.ndarray, powers: np.ndarray, k: int):
+def _chain_jets(x: np.ndarray, powers: np.ndarray, k: int):
     """Jets in (x, y) = (logit alpha, logit beta) of the stationary chain's
     lags and seeds, with the derivatives of log alpha^(k-1).  None when a
     parameter rounds to 0 or 1.
@@ -170,29 +152,28 @@ def _markov_jets(x: np.ndarray, powers: np.ndarray, k: int):
     return a**m, lags, seeds, grad, hess
 
 
+#: Where x^2, xy and y^2 sit among a jet's derivative entries, and the
+#: Hessian entry over the Taylor coefficient at each place.
+_SECOND = np.array([[2, 3], [3, 4]])
+_FACTOR = np.array([[2.0, 1.0], [1.0, 2.0]])
+#: IID(p) is the chain at (logit alpha, logit beta) = (x, -x), x = logit p.
+_IID_LINE = np.array([1.0, -1.0])
+
+
 class _SampleScore:
     """Log-likelihood of one sample that has passed _as_sample, with its
-    score and Hessian in logit space, for one family.
+    score and Hessian in (logit alpha, logit beta).
 
-    The h recursion is planned once with jets of width 3 (IID: p) or 6
-    (Markov: alpha and beta), up to the largest wait.  Each evaluation
-    writes the lag and seed jets, runs the plan and gathers one jet per
-    distinct wait.  With e = (h - h0) / h0, log h = log h0 + e - e^2 / 2 to
-    second order, so the score and Hessian are weighted sums over the
-    gathered jets.
+    The h recursion is planned once with jets of width 6, up to the largest
+    wait.  Each evaluation writes the lag and seed jets, runs the plan and
+    gathers one jet per distinct wait.  With e = (h - h0) / h0, log h =
+    log h0 + e - e^2 / 2 to second order, so the score and Hessian are
+    weighted sums over the gathered jets.
     """
 
-    def __init__(self, family: type, k: int, arr: np.ndarray):
+    def __init__(self, k: int, arr: np.ndarray):
         self._k = _validate_k(k)
-        if family is IID:
-            self._jets, width, self._dim = _iid_jets, 3, 1
-            self._second = np.array([[1]])  # where x^2 sits in e
-            self._factor = np.array([[2.0]])  # Hessian / Taylor coefficient
-        else:
-            self._jets, width, self._dim = _markov_jets, 6, 2
-            self._second = np.array([[2, 3], [3, 4]])  # x^2, xy, y^2
-            self._factor = np.array([[2.0, 1.0], [1.0, 2.0]])
-        self._plan = _HPlan(family, k, int(arr.max()) - k + 1, jet=width)
+        self._plan = _HPlan(k, int(arr.max()) - k + 1, jet=6)
         waits, counts = np.unique(arr, return_counts=True)
         self._at = waits - k
         self._weights = counts.astype(np.float64)
@@ -203,7 +184,7 @@ class _SampleScore:
     def __call__(self, x: np.ndarray):
         """(value, score, Hessian) at x; (-inf, None, None) where the
         likelihood underflows or a parameter leaves (0, 1)."""
-        jets = self._jets(x, self._powers, self._k)
+        jets = _chain_jets(x, self._powers, self._k)
         if jets is None:
             return -math.inf, None, None
         scale, lags, seeds, grad, hess = jets
@@ -214,13 +195,21 @@ class _SampleScore:
         w = self._weights
         e = h[:, 1:] / h0[:, None]
         sums = w @ e
-        first = e[:, : self._dim]
-        hessian = self._factor * sums[self._second] - (first.T * w) @ first
+        first = e[:, :2]
+        hessian = _FACTOR * sums[_SECOND] - (first.T * w) @ first
         hessian += self._n * hess
         if not np.isfinite(hessian).all():
             return -math.inf, None, None
         value = float(w @ np.log(h0)) + self._n * math.log(scale)
-        return value, sums[: self._dim] + self._n * grad, hessian
+        return value, sums[:2] + self._n * grad, hessian
+
+    def iid_line(self, x: np.ndarray):
+        """The same along IID(p), the chain at (x[0], -x[0]), x[0] = logit p."""
+        value, score, hessian = self(x[0] * _IID_LINE)
+        if score is None:
+            return value, None, None
+        (xx, xy), (_, yy) = hessian.tolist()
+        return value, np.array([score[0] - score[1]]), np.array([[xx - 2.0 * xy + yy]])
 
 
 @dataclass
@@ -364,6 +353,8 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
     result carries the value with its sign flipped, as a minimizer's
     would.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(x0, dtype=np.float64)
     f, g, h = score_at(x)
     if not math.isfinite(f):
@@ -427,20 +418,15 @@ def _moment_start(sample: np.ndarray, k: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _fit_iid_logit(arr: np.ndarray, k: int, max_iter: int) -> NMResult:
-    """The Newton fit of logit p to a checked sample."""
-    start = np.array([_moment_start(arr, k)])
-    return _newton(_SampleScore(IID, k, arr), start, max_iter)
-
-
 def fit_iid(sample, k: int, max_iter: int = 500) -> FitResult:
     """MLE of the success probability from first-run waiting times."""
     arr = _fit_sample(sample, k)
-    res = _fit_iid_logit(arr, k, max_iter)
+    start = np.array([_moment_start(arr, k)])
+    res = _newton(_SampleScore(k, arr).iid_line, start, max_iter)
     model = IID(expit(float(res.x[0])))
     return FitResult(
         estimates={"p": model.p},
-        loglik=_SampleLikelihood(IID, k, arr)(model),
+        loglik=_SampleLikelihood(k, arr)(model),
         converged=res.converged,
         iterations=res.iterations,
     )
@@ -455,16 +441,17 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
 
     Newton starts from the IID fit: IID(p) is the chain with alpha = p and
     beta = 1 - p, and every step gains, so the chain's likelihood is never
-    below the IID one.
+    below the IID one.  Both fits run on one jet plan.
     """
     arr = _fit_sample(sample, k)
-    x = float(_fit_iid_logit(arr, k, max_iter).x[0])
-    start = np.array([x, -x])  # alpha = p and beta = 1 - p
-    res = _newton(_SampleScore(Markov, k, arr), start, max_iter)
+    score_at = _SampleScore(k, arr)
+    start = np.array([_moment_start(arr, k)])
+    x = float(_newton(score_at.iid_line, start, max_iter).x[0])
+    res = _newton(score_at, x * _IID_LINE, max_iter)
     model = Markov.stationary_start(expit(float(res.x[0])), expit(float(res.x[1])))
     return FitResult(
         estimates={"alpha": model.alpha, "beta": model.beta, "p": model.stationary},
-        loglik=_SampleLikelihood(Markov, k, arr)(model),
+        loglik=_SampleLikelihood(k, arr)(model),
         converged=res.converged,
         iterations=res.iterations,
     )

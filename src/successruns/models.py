@@ -43,6 +43,12 @@ class IID:
     def q(self) -> float:
         return 1.0 - self.p
 
+    # IID(p) is the two-state chain that stays on a success with alpha = p
+    # and on a failure with beta = q, started from p1 = p.  Engines that
+    # take a chain read these and need no case of their own for IID.
+    p1 = alpha = property(lambda self: self.p)
+    q1 = beta = property(lambda self: self.q)
+
 
 @dataclass(frozen=True)
 class Markov:

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .models import Pmf, TrialModel
-from .polyseries import Poly
+from .polyseries import Poly, RationalGF
 from .rth_waiting import RunMoments, Scheme, _rth_rows, occurrence_factors
 
 
@@ -165,6 +165,17 @@ def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
     return _count_laws(model, k, scheme, range(n, n + 1))[0]
 
 
+def _joint_count_parts(h: RationalGF, a: RationalGF) -> tuple[Poly, ...]:
+    """U0, U1, V0, V1: the joint count gf [1 - H(1-w)/(1 - wA)] / (1-z),
+    from the factors H and A, is (U0 + w U1) / (V0 + w V1)."""
+    one_minus_z = Poly((1.0, -1.0))
+    u0 = (h.den - h.num) * a.den
+    u1 = h.num * a.den - h.den * a.num
+    v0 = one_minus_z * h.den * a.den
+    v1 = -1.0 * (one_minus_z * h.den * a.num)
+    return u0, u1, v0, v1
+
+
 def count_polynomials(
     model: TrialModel, k: int, scheme: Scheme, n: int
 ) -> list[Poly]:
@@ -175,15 +186,7 @@ def count_polynomials(
     """
     if n < 0:
         raise ValueError(f"horizon n must be >= 0, got {n}")
-    h, a = occurrence_factors(model, k, scheme)
-    dh, nh = h.den, h.num
-    da, na = a.den, a.num
-    one_minus_z = Poly((1.0, -1.0))
-    # numerator U0 + w U1 and denominator V0 + w V1 of the joint gf
-    u0 = (dh - nh) * da
-    u1 = nh * da - dh * na
-    v0 = one_minus_z * dh * da
-    v1 = -1.0 * (one_minus_z * dh * na)
+    u0, u1, v0, v1 = _joint_count_parts(*occurrence_factors(model, k, scheme))
     assert v0[0] == 1.0 and v1[0] == 0.0
 
     w_shift = Poly((0.0, 1.0))

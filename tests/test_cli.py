@@ -238,6 +238,16 @@ def test_fit_refuses_a_sample_of_shortest_waits(capsys, tmp_path, family):
     assert "every waiting time equals k=2" in err and "no maximum" in err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-4"])
+def test_fit_refuses_fewer_than_one_iteration(capsys, max_iter):
+    code, out, err = run(
+        capsys, "fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "50",
+        "--seed", "3", "--max-iter", max_iter,
+    )
+    assert (code, out) == (2, "")
+    assert "--max-iter" in err and "Traceback" not in err
+
+
 def test_fit_reports_dropped_bootstrap_refits(capsys, monkeypatch):
     argv = ("fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "80",
             "--seed", "3")

@@ -24,8 +24,14 @@ from successruns.geometric import (
     vk_pmf,
     vk_pmf_closedform_k2,
 )
+from successruns.inference import fit_iid, loglik_vk
 from successruns.models import IID, Markov
-from successruns.oracle import LongestRun, enumerate_exact
+from successruns.oracle import (
+    LongestRun,
+    SeededStream,
+    enumerate_exact,
+    sample_waiting_times,
+)
 from successruns.rth_waiting import Scheme, trk_moments
 
 MODELS = [IID(0.5), IID(0.3), Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35)]
@@ -297,7 +303,7 @@ PLAN_MODELS = {
 @pytest.mark.parametrize("family", [IID, Markov], ids=["iid", "markov"])
 def test_planned_kernel_matches_the_per_call_kernel_bit_for_bit(family, k):
     for count in PLAN_COUNTS:
-        plan = _HPlan(family, k, count)
+        plan = _HPlan(k, count)
         for model in PLAN_MODELS[family]:  # every run rewrites the same buffers
             want = _h_sequence_per_call(model, k, count)
             assert plan.run(model).tobytes() == want.tobytes()
@@ -352,9 +358,9 @@ def _jet_recursion(lags, seeds, count):
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
 def test_jet_plan_runs_the_recursion_over_jets(family, k, width):
     rng = np.random.default_rng(k * width)
-    n_seeds = 1 if family is IID else 2
+    n_seeds = 2
     for count in (0, 1, 2, 3, 5, 17, 64, 65, 300):
-        plan = _HPlan(family, k, count, jet=width)
+        plan = _HPlan(k, count, jet=width)
         assert plan.lags == (min(k, count - 1) if count > n_seeds else 0)
         for _ in range(2):  # every run rewrites the same buffers
             # positive entries: nothing cancels, so the routes agree closely
@@ -375,7 +381,7 @@ def test_jet_plan_with_the_block_capped_by_its_entries(model):
     lags = np.zeros((k, width))
     lags[:, 0] = _lags(model, k)
     lags[:, 1] = np.arange(1, k + 1) * lags[:, 0]  # as if d/dx log c_j = j
-    got = _HPlan(type(model), k, count, jet=width).run_jets(lags, seeds)
+    got = _HPlan(k, count, jet=width).run_jets(lags, seeds)
     np.testing.assert_allclose(got[:, 0], _h_sequence(model, k, count), rtol=1e-12)
     want = _jet_recursion(lags, seeds, count)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -442,3 +448,56 @@ def test_default_vmax_below_the_cap_is_pinned(model, k, want):
 def test_mean_wait_matches_generating_function(model, k):
     want = trk_moments(model, k, 1, Scheme.NON_OVERLAPPING).mean
     assert mean_wait(model, k) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model,k",
+    [(Markov(0.5, a, b), k) for a in (0.02, 0.5, 0.9) for b in (0.02, 0.5, 0.9)
+     for k in (1, 2, 3)],
+)
+def test_default_vmax_stops_where_the_tail_reaches_1e12(model, k):
+    # the dominant root sets the horizon: about 1e-12 is left at it, and
+    # a tenth less would leave more than that, unless the 10k floor binds
+    vmax = default_vmax(model, k)
+    assert vk_pmf(model, k).tail < 1e-11
+    if vmax > 10 * k:
+        assert vk_pmf(model, k, vmax=int(0.9 * vmax)).tail > 1e-12
+
+
+def test_default_vmax_covers_a_slowly_mixing_chain():
+    # the old probe of 50 trials read a decay ratio far too small here and
+    # left 9.8e-3 of the mass in the tail
+    pm = vk_pmf(Markov(0.5, 0.1, 0.02), 5)
+    assert pm.tail < 1e-9
+
+
+def test_default_vmax_refuses_a_chain_whose_mean_wait_is_out_of_reach():
+    # mean 1.7e12 trials: the old probe built a 6.78M-entry table with
+    # 0.999996 of the mass left in its tail
+    with pytest.raises(ValueError, match=r"mean 1\.66525e\+12 trials.*--vmax"):
+        vk_pmf(Markov(0.5, 0.02, 0.1), 8)
+
+
+# ---------------------------------------------------------------------------
+# IID(p) is the chain Markov(p, p, 1 - p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_iid_runs_as_the_chain_that_stays_on_success_with_p(p):
+    iid, chain = IID(p), Markov(p, p, 1.0 - p)
+    for k in (1, 2, 3, 5):
+        vmax = 300 if p < 0.5 else None
+        want = vk_pmf(chain, k, vmax=vmax)
+        got = vk_pmf(iid, k, vmax=vmax)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.tail == want.tail
+    for n in (0, 1, 7, 60):
+        got = longest_run_pmf(iid, n).probs
+        assert got.tobytes() == longest_run_pmf(chain, n).probs.tobytes()
+    stream = SeededStream(int(1000 * p))
+    sample = sample_waiting_times(iid, 2, 200, stream)
+    assert (sample == sample_waiting_times(chain, 2, 200, stream)).all()
+    assert loglik_vk(iid, 2, sample) == loglik_vk(chain, 2, sample)
+    fit = fit_iid(sample, 2)
+    p_hat = fit.estimates["p"]
+    assert fit.loglik == loglik_vk(Markov(p_hat, p_hat, 1.0 - p_hat), 2, sample)

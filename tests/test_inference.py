@@ -178,7 +178,7 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
     class OldRoute:
         """Stands in for the per-sample likelihood the fitters report."""
 
-        def __init__(self, family, k, arr):
+        def __init__(self, k, arr):
             self.k, self.arr = k, arr
 
         def __call__(self, model):
@@ -190,13 +190,13 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
     class CheckedScore(inference._SampleScore):
         """The jet likelihood the fitters step on, held to the old route."""
 
-        def __init__(self, family, k, arr):
-            super().__init__(family, k, arr)
-            self.family, self.k, self.arr = family, k, arr
+        def __init__(self, k, arr):
+            super().__init__(k, arr)
+            self.k, self.arr = k, arr
 
         def __call__(self, x):
             value, score, hessian = super().__call__(x)
-            want = _loglik_via_pmf(_model_at(self.family, x), self.k, self.arr)
+            want = _loglik_via_pmf(_model_at(Markov, x), self.k, self.arr)
             assert value == pytest.approx(want, rel=1e-13)
             scored.append(self.k)
             return value, score, hessian
@@ -279,6 +279,13 @@ def _model_at(family, x):
     return Markov.stationary_start(inference.expit(x[0]), inference.expit(x[1]))
 
 
+def _score_at(family, k, arr):
+    """The jet likelihood a fit of `family` steps on: the chain's, or its
+    restriction to the IID line."""
+    score_at = inference._SampleScore(k, arr)
+    return score_at.iid_line if family is IID else score_at
+
+
 def _score_samples(family, k):
     source = IID(0.6) if family is IID else Markov.stationary_start(0.6, 0.4)
     drawn = sample_waiting_times(source, k, 60, SeededStream(400 + k))
@@ -291,7 +298,7 @@ def _score_samples(family, k):
 def test_score_and_hessian_match_central_differences(family, k):
     dim = 1 if family is IID else 2
     for sample in _score_samples(family, k):
-        score_at = inference._SampleScore(family, k, _as_sample(sample, k))
+        score_at = _score_at(family, k, _as_sample(sample, k))
         for x in (np.array([0.3, -0.4][:dim]), np.array([-1.1, 1.7][:dim])):
             value, score, hessian = score_at(x)
             eps = 1e-5
@@ -311,15 +318,15 @@ def test_jet_value_matches_the_plain_likelihood(family, k):
     dim = 1 if family is IID else 2
     for sample in _score_samples(family, k):
         arr = _as_sample(sample, k)
-        score_at = inference._SampleScore(family, k, arr)
-        plain = inference._SampleLikelihood(family, k, arr)
+        score_at = _score_at(family, k, arr)
+        plain = inference._SampleLikelihood(k, arr)
         for x in (np.array([0.3, -0.4][:dim]), np.array([-1.1, 1.7][:dim])):
             want = plain(_model_at(family, x))
             assert score_at(x)[0] == pytest.approx(want, rel=1e-13)
 
 
 def test_jet_value_is_minus_infinity_where_the_likelihood_underflows():
-    score_at = inference._SampleScore(IID, 1, np.array([1, 2, 400]))
+    score_at = _score_at(IID, 1, np.array([1, 2, 400]))
     assert score_at(np.array([inference.logit(0.99)])) == (-math.inf, None, None)
     assert score_at(np.array([40.0]))[0] == -math.inf  # p rounds to 1
 
@@ -334,7 +341,7 @@ def _nm_fit(family, k, sample):
     """The Nelder-Mead fit the fitters made before Newton (kept verbatim),
     started where they start: IID at the moment start, a chain at zero."""
     arr = _as_sample(sample, k)
-    loglik = inference._SampleLikelihood(family, k, arr)
+    loglik = inference._SampleLikelihood(k, arr)
     if family is IID:
         start = np.array([inference._moment_start(arr, k)])
     else:
@@ -403,6 +410,15 @@ def test_a_sample_of_shortest_waits_has_no_maximum(fitter, k, sample):
     message = rf"every waiting time equals k={k}.*no maximum"
     with pytest.raises(ValueError, match=message):
         fitter(sample, k)
+
+
+@pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
+@pytest.mark.parametrize("max_iter", [0, -4])
+def test_fits_refuse_fewer_than_one_iteration(fitter, max_iter, fair_sample):
+    # without a step, the start came back as an unconverged fit
+    message = rf"max_iter must be at least 1, got {max_iter}"
+    with pytest.raises(ValueError, match=message):
+        fitter(fair_sample[:50], 2, max_iter=max_iter)
 
 
 def test_bootstrap_drops_resamples_of_shortest_waits():
