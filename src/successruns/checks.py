@@ -41,6 +41,7 @@ fails loudly in the test suite and in the command-line ``check`` verb.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .geometric import _longest_laws
-from .models import Pmf, TrialModel
+from .models import ConsistencyError, Pmf, TrialModel
 from .polyseries import Moments, Poly, RationalGF
 from .rth_waiting import (
     Scheme,
@@ -159,12 +160,23 @@ def entry(
 
 
 def measure(group: str) -> list[CheckResult]:
-    """Every entry of ``group``, judged on its worst deviation over its sweep."""
+    """Every entry of ``group``, judged on its worst deviation over its sweep.
+
+    A deviation that is not a finite number >= 0 (a NaN from a kernel, an
+    overflow) measures nothing, so it raises ConsistencyError naming the
+    entry and the sweep point rather than reading as agreement.
+    """
     out = []
     for rec in _GROUPS[group]:
         dev = 0.0
         for point in rec.sweep:
-            dev = max(dev, rec.deviation(*point))
+            here = rec.deviation(*point)
+            if not 0.0 <= here < math.inf:
+                raise ConsistencyError(
+                    f"{rec.formula_id}: deviation {here!r} at sweep point "
+                    f"{point!r} is not a finite number >= 0"
+                )
+            dev = max(dev, here)
         out.append(finding(rec.formula_id, rec.anchor, dev, rec.parameters, rec.note))
     return out
 
@@ -211,11 +223,43 @@ def rel_dev(printed: float, truth: float) -> float:
 def slice_dev(
     series: Sequence[float], slices: Sequence[np.ndarray], k: int
 ) -> float:
-    """Max gap of series[n] from P(longest run in n trials = k), over n."""
-    return max(
-        abs(series[n] - (slices[n][k] if k <= n else 0.0))
-        for n in range(len(series))
+    """Max gap of series[n] from P(longest run in n trials = k), over n.
+
+    A NaN gap makes the result NaN.
+    """
+    return float(
+        np.max(
+            [
+                abs(series[n] - (slices[n][k] if k <= n else 0.0))
+                for n in range(len(series))
+            ]
+        )
     )
+
+
+def _lagged_sum(
+    table: np.ndarray, terms: Iterable[tuple], lows: tuple[int, ...]
+) -> np.ndarray:
+    """sum coeff * table[i - lags] over the window table[lows:], as an array.
+
+    Each term is (lag per axis..., coeff).  The accumulator starts at 0.0
+    and takes the terms in order, each as one whole-window product added
+    where every lagged index is at least zero; elsewhere the term adds
+    nothing.  Every window entry thus sees the same additions in the same
+    order as a per-entry loop over the terms would make.
+    """
+    acc = np.zeros(tuple(size - lo for size, lo in zip(table.shape, lows)))
+    for *lags, coeff in terms:
+        starts = [max(lo, lag) for lo, lag in zip(lows, lags)]
+        if any(start >= size for start, size in zip(starts, table.shape)):
+            continue  # the lag reaches past the window's far edge
+        dst = tuple(slice(start - lo, None) for start, lo in zip(starts, lows))
+        src = tuple(
+            slice(start - lag, size - lag)
+            for start, lag, size in zip(starts, lags, table.shape)
+        )
+        acc[dst] += coeff * table[src]
+    return acc
 
 
 def recurrence_residual(
@@ -229,17 +273,16 @@ def recurrence_residual(
     this never propagates the relation; it probes whether an independently
     computed sequence satisfies it.  Residuals are normalized by
     max(1, |u[n]|) so probability rows are judged absolutely and moment
-    rows relative to their scale.
+    rows relative to their scale.  Each sum adds the taps in their given
+    order (see :func:`_lagged_sum`); a NaN anywhere in the window makes the
+    result NaN.
     """
     u = np.asarray(row, dtype=np.float64)
-    worst = 0.0
-    for n in range(n_lo, u.size):
-        acc = 0.0
-        for lag, coeff in taps:
-            if n - lag >= 0:
-                acc += coeff * u[n - lag]
-        worst = max(worst, rel_dev(acc, u[n]))
-    return worst
+    truth = u[n_lo:]
+    if not truth.size:
+        return 0.0
+    acc = _lagged_sum(u, taps, (n_lo,))
+    return float(np.max(np.abs(acc - truth) / np.maximum(1.0, np.abs(truth))))
 
 
 def run_taps(
@@ -251,18 +294,21 @@ def run_taps(
     """Impose printed initial values, then run a printed linear relation.
 
     Values before `start` stay exactly as given (zero where unlisted);
-    from `start` on, u[n] = sum coeff*u[n-lag].  Duplicate lags accumulate.
+    from `start` on, u[n] = sum coeff*u[n-lag], summed in tap order.
+    Duplicate lags accumulate.  The relation runs on Python floats, which
+    round each operation as float64 does.
     """
-    u = np.zeros(nmax + 1)
+    u = [0.0] * (nmax + 1)
     for n, val in inits.items():
-        u[n] = val
+        u[n] = float(val)
+    taps = [(lag, float(coeff)) for lag, coeff in taps]
     for n in range(start, nmax + 1):
         acc = 0.0
         for lag, coeff in taps:
             if n - lag >= 0:
                 acc += coeff * u[n - lag]
         u[n] = acc
-    return u
+    return np.array(u)
 
 
 def diff_terms(dr: int, far: int, coeff: float) -> list[tuple[int, int, float]]:
@@ -275,15 +321,20 @@ def drive_sequence(
     source: Callable[[int], float],
     nmax: int,
 ) -> np.ndarray:
-    """Run u[n] = sum_taps coeff*u[n-lag] + source(n) with u[n<0] = 0."""
-    u = np.zeros(nmax + 1)
+    """Run u[n] = sum_taps coeff*u[n-lag] + source(n) with u[n<0] = 0.
+
+    Each u[n] starts from source(n) and adds the nonzero taps in order, on
+    Python floats.
+    """
+    taps = [(lag, float(coeff)) for lag, coeff in taps if coeff != 0.0]
+    u = [0.0] * (nmax + 1)
     for n in range(nmax + 1):
-        acc = source(n)
+        acc = float(source(n))
         for lag, coeff in taps:
-            if coeff != 0.0 and n - lag >= 0:
+            if n - lag >= 0:
                 acc += coeff * u[n - lag]
         u[n] = acc
-    return u
+    return np.array(u)
 
 
 def residual_2d(
@@ -297,20 +348,14 @@ def residual_2d(
     ``table`` is indexed [r][n]; terms are (dr, dn, coeff).  The window runs
     from (r_lo, n_lo) to the table's upper-right corner; indices that would
     fall below row zero or column zero contribute nothing (the sequences are
-    zero there).
+    zero there).  Each sum adds the terms in their given order (see
+    :func:`_lagged_sum`); a NaN anywhere in the window makes the result NaN.
     """
-    rmax = table.shape[0] - 1
-    nmax = table.shape[1] - 1
-    worst = 0.0
-    for r in range(r_lo, rmax + 1):
-        for n in range(n_lo, nmax + 1):
-            acc = 0.0
-            for dr, dn, coeff in terms:
-                rr, nn = r - dr, n - dn
-                if rr >= 0 and nn >= 0:
-                    acc += coeff * table[rr, nn]
-            worst = max(worst, abs(table[r, n] - acc))
-    return worst
+    window = table[r_lo:, n_lo:]
+    if not window.size:
+        return 0.0
+    acc = _lagged_sum(table, terms, (r_lo, n_lo))
+    return float(np.max(np.abs(window - acc)))
 
 
 def wpoly_residual(
@@ -321,28 +366,27 @@ def wpoly_residual(
     """Worst residual of G_n(w) = sum c_j(w) G_{n-j}(w) in coefficient space.
 
     ``polys[n]`` holds the ascending w-coefficients of G_n; each term is
-    (lag, w-coefficients of c_j).  Convolution implements the product.
+    (lag, w-coefficients of c_j).  The G_n are the rows of one zero-padded
+    table wide enough for every product.  Each term's product c_j G_{n-j}
+    is the sum over i of c_j[i] times the rows j back, shifted i places up
+    in w, taken in descending i, the order of np.convolve's dot products
+    when c_j is the shorter factor; the products are then subtracted from
+    G_n in term order.  A dot product that fuses its multiply-adds rounds
+    differently, so this agrees with a per-row np.convolve to the last
+    digit or two, not bit for bit.  A NaN in the window makes the result
+    NaN.
     """
-    worst = 0.0
-    for n in range(n_lo, len(polys)):
-        width = max(
-            len(polys[n]),
-            max(
-                (len(polys[n - lag]) + len(c) - 1
-                 for lag, c in terms
-                 if n - lag >= 0),
-                default=0,
-            ),
-        )
-        acc = np.zeros(width)
-        acc[: len(polys[n])] = polys[n]
-        for lag, c in terms:
-            if n - lag < 0:
-                continue
-            conv = np.convolve(np.asarray(c, dtype=np.float64), polys[n - lag])
-            acc[: len(conv)] -= conv
-        worst = max(worst, float(np.max(np.abs(acc))) if acc.size else 0.0)
-    return worst
+    if n_lo >= len(polys):
+        return 0.0
+    width = max(map(len, polys)) + max((len(c) - 1 for _, c in terms), default=0)
+    table = np.zeros((len(polys), width))
+    for n, poly in enumerate(polys):
+        table[n, : len(poly)] = poly
+    acc = table[n_lo:].copy()
+    for lag, c in terms:
+        shifts = [(lag, i, c[i]) for i in reversed(range(len(c)))]
+        acc -= _lagged_sum(table, shifts, (n_lo, 0))
+    return float(np.max(np.abs(acc))) if acc.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +486,8 @@ def counts_rows(
     """Run-count distributions N_0..N_nmax via waiting-time inversion."""
     from .run_counts import _count_laws
 
-    return tuple(_count_laws(model, k, scheme, range(nmax + 1)))
+    h, a = factors(model, k, scheme)
+    return tuple(_count_laws(h, a, k, scheme, range(nmax + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +566,9 @@ def wseries_dev(
     far past unit scale.
     """
     coeffs = RationalGF(printed_num, printed_den).series(r_hi)
-    return max(rel_dev(coeffs[r], truth(r)) for r in range(r_lo, r_hi + 1))
+    return float(
+        np.max([rel_dev(coeffs[r], truth(r)) for r in range(r_lo, r_hi + 1)])
+    )
 
 
 # ---------------------------------------------------------------------------

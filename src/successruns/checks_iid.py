@@ -140,13 +140,11 @@ def _root_sum_dev(k: int, roots: np.ndarray, weights: np.ndarray) -> float:
 
     F_n is fib_k(k, n); the imaginary part of the sum counts as a gap too.
     """
-    gaps = []
-    for n in range(1, 61):
-        total = np.sum(weights * roots ** (n - 1))
-        exact = fib_k(k, n)
-        gaps.append(abs(total.real - exact) / max(1.0, exact))
-        gaps.append(abs(total.imag) / max(1.0, exact))
-    return max(gaps)
+    powers = np.array([roots**e for e in range(60)])  # row n - 1: roots^(n-1)
+    totals = (weights * powers).sum(axis=1)
+    exact = np.array([fib_k(k, n) for n in range(1, 61)], dtype=np.float64)
+    gaps = np.abs([totals.real - exact, totals.imag]) / np.maximum(1.0, exact)
+    return float(np.max(gaps))
 
 
 # ---------------------------------------------------------------------------

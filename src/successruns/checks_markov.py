@@ -47,7 +47,7 @@ from .checks import (
 )
 from .models import Markov
 from .polyseries import Poly, RationalGF
-from .rth_waiting import Scheme, trk_pgf
+from .rth_waiting import Scheme
 
 MODELS = (Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35))
 
@@ -104,12 +104,18 @@ def _double_pgf_dev(m: Markov, k: int, scheme: Scheme, big_r, pz, qz) -> float:
 
 
 def _step_ratio_dev(m: Markov, k: int, scheme: Scheme, rnum, rs) -> float:
-    """Worst gap of rnum / R times the pgf of T_{r-1} from row r, r in rs."""
+    """Worst gap of rnum / R times the pgf of T_{r-1} from row r, r in rs.
+
+    The pgf of T_{r-1} is H * A**(r-2), with every power from one ladder
+    of the cached factors (bit for bit what trk_pgf builds).
+    """
     big_r = _big_r(m.alpha, m.beta, k)
     rows = trk_rows(m, k, scheme, RMAX, NMAX)
+    h, a = factors(m, k, scheme)
+    powers = a.powers(max(rs) - 2)
     gaps = []
     for r in rs:
-        prev = trk_pgf(m, k, r - 1, scheme)
+        prev = h * powers[r - 2]
         printed = RationalGF(rnum * prev.num, big_r * prev.den)
         gaps.append(seq_dev(printed.series(NMAX), rows[r]))
     return max(gaps)

@@ -540,12 +540,17 @@ def cmd_check(n, kmax, ledger, fmt):
 
     Exits 0 only if the enumeration grid agrees within tolerance and every
     formula's status matches its reviewed value; any drift is a build
-    failure, named on the error stream.
+    failure, named on the error stream.  A computation that fails outright
+    (a deviation that is not a finite number, a failed mass check) exits 1
+    with its one-line message.
     """
     _require(1 <= n <= MAX_ENUM_TRIALS, f"--n must be in [1, {MAX_ENUM_TRIALS}]")
     _require(kmax >= 1, "--k must be a positive integer")
-    oracle_rows = _oracle_grid(n, kmax)
-    results = run_all()
+    try:
+        oracle_rows = _oracle_grid(n, kmax)
+        results = run_all()
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        raise click.ClickException(str(exc))
     mismatches = diff_expected(results)
     if ledger is not None:
         write_ledger(results, ledger)

@@ -298,6 +298,9 @@ _MAX_STEP = 2.0
 #: place, which no step can be seen to gain.
 _GAIN_TOL = 1e-13
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
+#: A full step that beat its quadratic model is doubled only while the
+#: gain predicted at the trial stays at least this share of the step's own.
+_DOUBLING_RATIO = 0.25
 
 
 def _ascent(score: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
@@ -344,13 +347,16 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
     `score_at(x)` returns (value, score, Hessian), with value -inf where
     the likelihood cannot be evaluated.  Each step is capped at _MAX_STEP
     and backtracked until it passes an Armijo test.  A full step that
-    gains at least what the quadratic model predicted is doubled while it
-    keeps gaining, which walks toward a maximum at a boundary of the
-    parameter space (a logit going to infinity) in few steps.  Stops when
-    the predicted gain falls below _GAIN_TOL or the value's rounding, or
-    when no step along the ascent direction gains at all; that counts as
-    converged if the predicted gain was under 1e-9 of the value.  The
-    result carries the value with its sign flipped, as a minimizer's
+    gains at least what the quadratic model predicted, and whose trial
+    point still predicts at least _DOUBLING_RATIO of the step's own gain,
+    is doubled while it keeps gaining, which walks toward a maximum at a
+    boundary of the parameter space (a logit going to infinity) in few
+    steps; near an interior maximum the predicted gain falls quadratically,
+    below that ratio, and the trial's Newton step is the next iteration's.
+    Stops when the predicted gain falls below _GAIN_TOL or the value's
+    rounding, or when no step along the ascent direction gains at all; that
+    counts as converged if the predicted gain was under 1e-9 of the value.
+    The result carries the value with its sign flipped, as a minimizer's
     would.
     """
     if max_iter < 1:
@@ -359,8 +365,10 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
     f, g, h = score_at(x)
     if not math.isfinite(f):
         raise ValueError("the likelihood underflows at the starting point")
+    ascent = None  # the step from x, when the last iteration computed it
     for iteration in range(1, max_iter + 1):
-        step, gain = _ascent(g, h)
+        step, gain = ascent if ascent is not None else _ascent(g, h)
+        ascent = None
         if gain < max(_GAIN_TOL, _ROUNDING * abs(f)):
             return NMResult(x, -f, iteration, True)
         size = float(np.sqrt(step @ step))
@@ -377,6 +385,9 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
             if t < 1e-10:  # no gain left above rounding
                 return NMResult(x, -f, iteration, gain < 1e-9 * max(1.0, abs(f)))
         if t == 1.0 and trial[0] - f >= model_gain:
+            ascent = _ascent(trial[1], trial[2])
+        if ascent is not None and ascent[1] >= _DOUBLING_RATIO * gain:
+            ascent = None  # x moves past the trial
             while True:
                 t *= 2.0
                 further = score_at(x + t * step)

@@ -183,16 +183,18 @@ def _sequence_prices(model: TrialModel, n: int) -> tuple[np.ndarray, tuple, tupl
     if isinstance(model, IID):
         price = np.array([model.p**i * model.q ** (n - i) for i in range(n + 1)])
         return price, (0, 1), ((0, 1), (0, 1))
-    first, c11, c10, c01 = np.indices((2, n, n, n)).reshape(4, -1)
-    c00 = np.maximum((n - 1) - c11 - c10 - c01, 0)  # < 0: no such sequence
+    # code = first * n**3 + c11 * n**2 + c10 * n + c01: one axis per count,
+    # each priced from a table of its n possible powers
+    counts = np.arange(n)
+    c00 = (n - 1) - counts[:, None, None] - counts[:, None] - counts
     price = (
-        np.where(first == 1, model.p1, model.q1)
-        * np.power(model.alpha, c11)
-        * np.power(1.0 - model.alpha, c10)
-        * np.power(1.0 - model.beta, c01)
-        * np.power(model.beta, c00)
+        np.array([model.q1, model.p1])[:, None, None, None]
+        * np.power(model.alpha, counts)[:, None, None]
+        * np.power(1.0 - model.alpha, counts)[:, None]
+        * np.power(1.0 - model.beta, counts)
+        * np.power(model.beta, counts)[np.maximum(c00, 0)]  # < 0: no such sequence
     )
-    return price, (0, n**3), ((0, 1), (n, n * n))
+    return price.ravel(), (0, n**3), ((0, 1), (n, n * n))
 
 
 def _extend_codes(codes: np.ndarray, step: np.ndarray, trials: int) -> np.ndarray:

@@ -120,7 +120,7 @@ def _prefix_mass(raw: np.ndarray, probs: np.ndarray, m: int) -> float:
 
 
 def _count_laws(
-    model: TrialModel, k: int, scheme: Scheme, horizons: range
+    h: RationalGF, a: RationalGF, k: int, scheme: Scheme, horizons: range
 ) -> list[Pmf]:
     """Laws of N_n for every n in horizons, via waiting-time inversion.
 
@@ -129,13 +129,13 @@ def _count_laws(
     once, to the last horizon, and P(T_x <= n) is the sum of its first
     n - offset + 1 entries: the prefix that trk_pmf(..., nmax=n) sums, under
     the same entry, tail and total checks.  One power ladder gives every
-    A**(x-1).
+    A**(x-1).  The caller supplies the factors H and A of (model, k,
+    scheme), so a caller that holds them builds them once.
     """
     if not horizons:
         return []
     scheme = Scheme.from_label(scheme)
     xmaxes = [max_count(n, k, scheme) for n in horizons]
-    h, a = occurrence_factors(model, k, scheme)
     cdfs = np.zeros((len(horizons), xmaxes[-1] + 2))  # [i, x-1] = P(T_x <= n_i)
     rows = _rth_rows(h, a, k, scheme, xmaxes[-1] + 1, horizons[-1])
     for x, offset, raw in rows:
@@ -162,7 +162,8 @@ def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
     """
     if n < 0:
         raise ValueError(f"horizon n must be >= 0, got {n}")
-    return _count_laws(model, k, scheme, range(n, n + 1))[0]
+    h, a = occurrence_factors(model, k, scheme)
+    return _count_laws(h, a, k, scheme, range(n, n + 1))[0]
 
 
 def _joint_count_parts(h: RationalGF, a: RationalGF) -> tuple[Poly, ...]:

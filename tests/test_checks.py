@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import successruns
-from successruns import checks, checks_iid, checks_markov
+from successruns import checks, checks_iid, checks_markov, rth_waiting, run_counts
 from successruns.checks import (
     TOL,
     CheckResult,
@@ -218,6 +218,21 @@ def test_an_error_in_an_entry_reaches_the_caller(group):
 
     with pytest.raises(ZeroDivisionError, match="inside the entry"):
         measure(group)
+
+
+def test_a_cold_catalog_builds_each_factor_pair_once(monkeypatch):
+    # every table, slice and power reads H and A through checks.factors;
+    # nothing in the catalog's engine calls builds its own pair
+    def refused(*args):
+        raise AssertionError(f"occurrence_factors{args} outside checks.factors")
+
+    for module in (rth_waiting, run_counts):
+        monkeypatch.setattr(module, "occurrence_factors", refused)
+    for cached in vars(checks).values():
+        if callable(getattr(cached, "cache_clear", None)):
+            cached.cache_clear()
+    run_all()
+    assert checks.factors.cache_info().misses == 30
 
 
 def test_importing_the_package_leaves_the_catalog_unloaded():

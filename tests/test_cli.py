@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import re
 import weakref
 
 import numpy as np
@@ -333,6 +334,21 @@ def test_check_fails_on_injected_wrong_coefficient(capsys, monkeypatch):
     assert "expected CONFIRMED, observed ERRATUM" in err
     # the complaint names the printed location of a drifted formula
     assert "anchor L" in err
+
+
+def test_check_fails_in_one_line_on_a_nan_deviation(capsys, monkeypatch):
+    # a NaN in a truth table measures nothing, so it must not read as
+    # agreement: the entry that meets it stops the run, named with its point
+    def poisoned(model, k, vmax):
+        row = vk_row(model, k, vmax).copy()
+        row[-1] = np.nan
+        return row
+
+    monkeypatch.setattr(checks_iid, "vk_row", poisoned)
+    code, out, err = run(capsys, "check", "--n", "3", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(r"iid-vk-\S+: deviation nan at sweep point \(", err)
 
 
 def test_check_output_is_deterministic(capsys):
