@@ -58,7 +58,6 @@ from .rth_waiting import (
     _rth_rows,
     occurrence_factors,
 )
-from .run_counts import _joint_count_parts
 
 CONFIRMED = "CONFIRMED"
 ERRATUM = "ERRATUM"
@@ -213,6 +212,18 @@ def pad_dev(a: Sequence[float], b: Sequence[float]) -> float:
     if width == 0:
         return 0.0
     return float(np.max(np.abs(pa - pb)))
+
+
+def worst(*gaps: float) -> float:
+    """The largest of some gaps; NaN if any of them is NaN.
+
+    Python's ``max`` keeps its first argument when a comparison with a NaN
+    is false, so it drops a NaN that is not first and a poisoned table would
+    read as agreement.
+    """
+    if any(math.isnan(gap) for gap in gaps):
+        return math.nan
+    return max(gaps)
 
 
 def rel_dev(printed: float, truth: float) -> float:
@@ -474,8 +485,18 @@ def double_gf_slice(
 def counts_double_gf_slice(
     model: TrialModel, k: int, scheme: Scheme, w: float
 ) -> RationalGF:
-    """sum_n G_n(w) z^n at fixed w, where G_n(w) = sum_x P(N_n = x) w^x."""
-    u0, u1, v0, v1 = _joint_count_parts(*factors(model, k, scheme))
+    """sum_n G_n(w) z^n at fixed w, where G_n(w) = sum_x P(N_n = x) w^x.
+
+    From the factors H and A, the joint count gf [1 - H(1-w)/(1 - wA)] / (1-z)
+    is (U0 + w U1) / (V0 + w V1): w enters linearly, so the slice at w is
+    two polynomial sums.
+    """
+    h, a = factors(model, k, scheme)
+    one_minus_z = Poly((1.0, -1.0))
+    u0 = (h.den - h.num) * a.den
+    u1 = h.num * a.den - h.den * a.num
+    v0 = one_minus_z * h.den * a.den
+    v1 = -1.0 * (one_minus_z * h.den * a.num)
     return RationalGF(u0 + Poly((w,)) * u1, v0 + Poly((w,)) * v1)
 
 

@@ -42,6 +42,7 @@ from .checks import (
     trk_tail_rows,
     vk_row,
     vk_series,
+    worst,
     wpoly_residual,
     wseries_dev,
 )
@@ -116,9 +117,9 @@ def _gn_lemma_dev(model: IID, k: int, scheme: Scheme, terms) -> float:
     """
     p = model.p
     wp = counts_wpolys(model, k, scheme, CMAX)
-    return max(
+    return worst(
         wpoly_residual(wp, terms, k + 1),
-        max(pad_dev(wp[n], (1.0,)) for n in range(k)),
+        worst(*(pad_dev(wp[n], (1.0,)) for n in range(k))),
         pad_dev(wp[k], (1.0 - p**k, p**k)),
     )
 
@@ -132,7 +133,7 @@ def _count_pmf_dev(model: IID, k: int, scheme: Scheme, terms) -> float:
     wp = counts_wpolys(model, k, scheme, CMAX)
     inits = [np.array([1.0])] * k + [np.array([1.0 - p**k, p**k])]
     table = _drive_wtable(inits, terms, CMAX, CMAX + 2)
-    return max(pad_dev(table[n], wp[n]) for n in range(CMAX + 1))
+    return worst(*(pad_dev(table[n], wp[n]) for n in range(CMAX + 1)))
 
 
 def _root_sum_dev(k: int, roots: np.ndarray, weights: np.ndarray) -> float:
@@ -267,7 +268,7 @@ def _(p, k):
 )
 def _(k):
     row = vk_row(IID(0.5), k, 40)
-    return max(abs(fib_k(k, v - k + 1) * 0.5**v - row[v]) for v in range(k, 41))
+    return worst(*(abs(fib_k(k, v - k + 1) * 0.5**v - row[v]) for v in range(k, 41)))
 
 
 def _geom_pmf_recursions() -> list[CheckResult]:
@@ -294,13 +295,13 @@ def _(p):
     r1 = (q + disc) / 2.0
     r2 = (q - disc) / 2.0
     row = vk_row(IID(p), 2, 200)
-    return max(
+    return worst(*(
         abs(
             p * (r1 ** (v - 1) / (r1 - r2) + r2 ** (v - 1) / (q - 2.0 * r1))
             - row[v]
         )
         for v in range(2, 201)
-    )
+    ))
 
 
 @entry(_VK_CLOSED, "iid-vk-pgf-k2", "L410", _VK_PAR, _P)
@@ -360,7 +361,7 @@ def _(p, k):
     den_b = Poly((1.0, -1.0)) + Poly.term(p**k * q, k + 1)
     form_b = RationalGF(num_b, den_b)
     truth = vk_row(IID(p), k, VMAX)
-    return max(
+    return worst(
         seq_dev(form_a.series(VMAX), truth), seq_dev(form_b.series(VMAX), truth)
     )
 
@@ -429,7 +430,7 @@ def _(p, k):
         nn = x - k - 1
         lt_k = float(lp[nn][: min(k, nn + 1)].sum())
         gaps.append(abs(vrow[x] - q * p**k * lt_k))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -457,7 +458,7 @@ def _(model):
     den0 = g1.den * z1
     series0 = RationalGF(num0, den0).series(30)
     gaps.extend(abs(series0[n] - slices[n][0]) for n in range(1, 31))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -539,8 +540,8 @@ def _(model, k):
     p = model.p
     base = RationalGF(Poly.term(p**k, k) * Poly((1.0, -p)), _char_iid(p, k))
     rows = trk_rows(model, k, Scheme.NON_OVERLAPPING, RMAX, NMAX)
-    return max(
-        seq_dev((base**r).series(NMAX), rows[r]) for r in range(1, RMAX + 1)
+    return worst(
+        *(seq_dev((base**r).series(NMAX), rows[r]) for r in range(1, RMAX + 1))
     )
 
 
@@ -553,7 +554,7 @@ def _(model, k):
         den = d - Poly.term(p**k * w, k) + Poly.term(p ** (k + 1) * w, k + 1)
         truth = double_gf_slice(model, k, Scheme.NON_OVERLAPPING, w)
         gaps.append(series_dev(RationalGF(d, den), truth, NMAX))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -570,7 +571,7 @@ def _(model, k):
         snum = snum * rnum
         sden = sden * d
         gaps.append(seq_dev(RationalGF(snum, sden).series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -648,7 +649,7 @@ def _(model, k):
     true = moment_row(trk_mean, model, k, Scheme.NON_OVERLAPPING, RMAX)
     res = recurrence_residual(true, ((1, 2.0), (2, -1.0)), 3)
     mu1 = (1.0 - p**k) / p**k
-    return max(res, rel_dev(mu1, true[1]))
+    return worst(res, rel_dev(mu1, true[1]))
 
 
 @entry(_TRK1, "iid-trk1-second-gf", "L1355-1363", _MOM_PAR, _MK)
@@ -686,7 +687,7 @@ def _(model, k):
         + 2.0 * k * p**k * (p - 2.0 * q * k - 5.0)
         + 6.0
     ) / (p ** (2 * k) * q**2)
-    return max(res, rel_dev(u1, true[1]), rel_dev(u2, true[2]))
+    return worst(res, rel_dev(u1, true[1]), rel_dev(u2, true[2]))
 
 
 def _trk_non_overlapping() -> list[CheckResult]:
@@ -714,7 +715,7 @@ def _(model, k):
             num = num * rnum
             den = den * rden
         gaps.append(seq_dev(RationalGF(num, den).series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(_TRK2, "iid-trk2-double-pgf", "L1422", _TRK_W_PAR, _MK)
@@ -727,7 +728,7 @@ def _(model, k):
         den = d - Poly.term(p**k * q * w, k + 1)
         truth = double_gf_slice(model, k, Scheme.AT_LEAST, w)
         gaps.append(series_dev(RationalGF(num, den), truth, NMAX))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(_TRK2, "iid-trk2-step", "L1433-1436", _TRK_PAR, _MK)
@@ -742,7 +743,7 @@ def _(model, k):
         num = num * Poly.term(p**k * q, k + 1)
         den = den * d
         gaps.append(seq_dev(RationalGF(num, den).series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(_TRK2, "iid-trk2-pmf-recursion", "L1451-1462", _TRK_PAR, _MK)
@@ -800,7 +801,7 @@ def _(model, k):
     res = recurrence_residual(true, ((1, 2.0), (2, -1.0)), 3)
     mu1 = (1.0 - p**k) / (p**k * q)
     mu2 = (2.0 - p**k) / (p**k * q)
-    return max(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
+    return worst(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
 
 
 @entry(_TRK2, "iid-trk2-second-gf", "L1512-1519", _MOM_PAR, _MK)
@@ -825,7 +826,7 @@ def _(model, k):
     u1 = (2.0 + p**k * (p - 3.0 + q * (p**k - 2.0 * k))) / scale
     u2 = (6.0 + p**k * (2.0 * (p - 3.0) + q * (p**k - 4.0 * k))) / scale
     u3 = (12.0 + p**k * (3.0 * (p - 3.0) + q * (p**k - 6.0 * k))) / scale
-    return max(
+    return worst(
         res, rel_dev(u1, true[1]), rel_dev(u2, true[2]), rel_dev(u3, true[3])
     )
 
@@ -855,7 +856,7 @@ def _(model, k):
         for _ in range(r):
             den = den * d
         gaps.append(seq_dev(RationalGF(num, den).series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(_TRK3, "iid-trk3-double-pgf", "L1574", _TRK_W_PAR, _MK)
@@ -873,7 +874,7 @@ def _(model, k):
         den = d - w * (Poly((0.0, p)) * ext)
         truth = double_gf_slice(model, k, Scheme.OVERLAPPING, w)
         gaps.append(series_dev(RationalGF(num, den), truth, NMAX))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -897,7 +898,7 @@ def _(model, k):
         num = num * (Poly((0.0, p)) * ext)
         den = den * d
         gaps.append(seq_dev(RationalGF(num, den).series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(_TRK3, "iid-trk3-pmf-recursion", "L1603-1604", _TRK_PAR, _MK)
@@ -952,7 +953,7 @@ def _(model, k):
     res = recurrence_residual(true, ((1, 2.0), (2, -1.0)), 3)
     mu1 = (1.0 - p**k) / (p**k * q)
     mu2 = (q + 1.0 - p**k) / (p**k * q)
-    return max(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
+    return worst(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
 
 
 @entry(_TRK3, "iid-trk3-second-gf", "L1662-1671", _MOM_PAR, _MK)
@@ -1004,7 +1005,7 @@ def _(model, k):
         + p ** (2 * k) * q
         + p**k * (p * (2.0 * p + 5.0) - 2.0 * k * q * (3.0 - 2.0 * p) - 9.0)
     ) / scale
-    return max(
+    return worst(
         res, rel_dev(u1, true[1]), rel_dev(u2, true[2]), rel_dev(u3, true[3])
     )
 

@@ -42,6 +42,7 @@ from .checks import (
     trk_tail_rows,
     vk_row,
     vk_series,
+    worst,
     wpoly_residual,
     wseries_dev,
 )
@@ -93,14 +94,14 @@ def _big_r(a: float, b: float, k: int) -> Poly:
 
 def _double_pgf_dev(m: Markov, k: int, scheme: Scheme, big_r, pz, qz) -> float:
     """Worst gap of the printed (R + w P) / (R + w Q) from the engine, over w."""
-    return max(
+    return worst(*(
         series_dev(
             RationalGF(big_r + w * pz, big_r + w * qz),
             double_gf_slice(m, k, scheme, w),
             NMAX,
         )
         for w in W_POINTS
-    )
+    ))
 
 
 def _step_ratio_dev(m: Markov, k: int, scheme: Scheme, rnum, rs) -> float:
@@ -118,7 +119,7 @@ def _step_ratio_dev(m: Markov, k: int, scheme: Scheme, rnum, rs) -> float:
         prev = h * powers[r - 2]
         printed = RationalGF(rnum * prev.num, big_r * prev.den)
         gaps.append(seq_dev(printed.series(NMAX), rows[r]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def _(m, k):
         (k + 2, a ** (k - 1) * (1.0 - b) * (b * q + p * (1.0 - a))),
     )
     row = vk_series(m, k, VMAX)
-    return max(abs(val - row[v]) for v, val in printed)
+    return worst(*(abs(val - row[v]) for v, val in printed))
 
 
 @entry(
@@ -298,7 +299,7 @@ def _(m):
             + (q * (1.0 - b) - p * r1) / (q - 2.0 * r1) * r2 ** (v - 1)
         )
         gaps.append(abs(printed - row[v]))
-    return max(gaps)
+    return worst(*gaps)
 
 
 @entry(
@@ -311,10 +312,10 @@ def _(m):
     "probabilities; deviations beyond half-unit rounding",
 )
 def _(a, vals):
-    return max(
-        max(0.0, abs(printed - Markov.stationary_start(a, b).p1) - 5e-4)
+    return worst(*(
+        worst(0.0, abs(printed - Markov.stationary_start(a, b).p1) - 5e-4)
         for b, printed in zip(_BETAS, vals)
-    )
+    ))
 
 
 @entry(_VK_CLOSED, "markov-vk-pgf-k2", "L714", _VK_PAR, _M)
@@ -500,8 +501,8 @@ def _(m, k):
     p, q, a, b = m.p1, m.q1, m.alpha, m.beta
     num = Poly.term(a ** (k - 1), k - 1) * Poly((0.0, p, q * (1.0 - b) - b * p))
     printed = RationalGF(num, _den_k(a, b, k))
-    return max(
-        series_dev(printed, factors(m, k, sch)[0], NMAX) for sch in Scheme
+    return worst(
+        *(series_dev(printed, factors(m, k, sch)[0], NMAX) for sch in Scheme)
     )
 
 
@@ -635,7 +636,7 @@ def _(m, k):
         (k + 1, q * a ** (k - 1) * (1.0 - b)),
         (k + 2, a ** (k - 1) * (1.0 - b) * (b * q + p * (1.0 - a))),
     )
-    return max(abs(val - rows[1][n]) for n, val in printed)
+    return worst(*(abs(val - rows[1][n]) for n, val in printed))
 
 
 @entry(
@@ -690,7 +691,7 @@ def _(m, k):
         2.0 * a * (2.0 - a - b)
         + a**k * (2.0 * a * b - a * q - 2.0 * a + a * a - p)
     ) / scale
-    return max(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
+    return worst(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
 
 
 @entry(
@@ -819,7 +820,7 @@ def _(m, k):
         + a ** (2 * k)
         * (p * (1.0 - a) * (1.0 - b + a * (9.0 - 4.0 * a - 5.0 * b)))
     )
-    return max(
+    return worst(
         res,
         rel_dev(c1 / scale, true[1]),
         rel_dev(c2 / scale, true[2]),
@@ -926,7 +927,7 @@ def _(m, k):
         (k + 1, q * a**k * (1.0 - b)),
         (k + 2, a**k * (1.0 - b) * (b * q + p * (1.0 - a))),
     )
-    return max(abs(val - rows[1][n]) for n, val in printed)
+    return worst(*(abs(val - rows[1][n]) for n, val in printed))
 
 
 @entry(
@@ -994,7 +995,7 @@ def _(m, k):
         a ** (k - 1) * (2.0 * a * b - 3.0 * q * a - 2.0 * p - p * a + a * a)
         + 2.0 * (2.0 - a - b)
     ) / scale
-    return max(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
+    return worst(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
 
 
 @entry(
@@ -1066,7 +1067,7 @@ def _(m, k):
         + 12.0 * a * a * (t1 + t2) ** 2
         - 3.0 * a ** (k + 1) * (inner + t2 * t4)
     )
-    return max(
+    return worst(
         res,
         rel_dev(b1 / scale, true[1]),
         rel_dev(b2 / scale, true[2]),
@@ -1181,7 +1182,7 @@ def _(m, k):
         (k + 1, q * a**k * (1.0 - b)),
         (k + 2, a**k * (1.0 - b) * (b * q + p * (1.0 - a))),
     )
-    return max(
+    return worst(
         abs(rows[0][0] - 1.0),
         float(np.max(np.abs(rows[0][1:]))),
         *(abs(val - rows[1][n]) for n, val in printed),
@@ -1255,7 +1256,7 @@ def _(m, k):
     mu2 = (
         a ** (k - 1) * ((b - q) * a - p) + (2.0 - a) * (2.0 - a - b)
     ) / ((1.0 - a) * (1.0 - b) * a ** (k - 2))
-    return max(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
+    return worst(res, rel_dev(mu1, true[1]), rel_dev(mu2, true[2]))
 
 
 @entry(
@@ -1382,7 +1383,7 @@ def _(m, k):
             )
         )
     )
-    return max(
+    return worst(
         res,
         rel_dev(b1 / scale, true[1]),
         rel_dev(b2 / scale, true[2]),

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .models import IID, Pmf, TrialModel
+from .models import Pmf, TrialModel
 from .polyseries import Poly, RationalGF
 
 
@@ -298,7 +298,7 @@ def markov_vk_pgf(k: int, alpha: float, beta: float, first_p: float) -> Rational
     """Generating function of the k-run wait for a chain restarted with
     first-trial success probability ``first_p``.
 
-    This is the workhorse behind both the unconditional Markov pgf
+    This is the workhorse behind both the first-run pgf of every model
     (``first_p = p1``) and the inter-occurrence factors of the r-th-run
     module, which restart the chain from a success (``first_p = alpha``) or
     from a failure (``first_p = 1 - beta``).
@@ -317,15 +317,6 @@ def markov_vk_pgf(k: int, alpha: float, beta: float, first_p: float) -> Rational
 
 def vk_pgf(model: TrialModel, k: int) -> RationalGF:
     """Rational probability generating function of the first k-run wait."""
-    k = _validate_k(k)
-    if isinstance(model, IID):
-        p, q = model.p, model.q
-        num = Poly.term(p**k, k)
-        den_coeffs = [0.0] * (k + 1)
-        den_coeffs[0] = 1.0
-        for i in range(1, k + 1):
-            den_coeffs[i] = -q * p ** (i - 1)
-        return RationalGF(num, Poly(den_coeffs))
     return markov_vk_pgf(k, model.alpha, model.beta, model.p1)
 
 
@@ -340,24 +331,14 @@ def vk_pmf_closedform_k2(model: TrialModel, v: int) -> float:
     """
     if v < 2:
         return 0.0
-    if isinstance(model, IID):
-        p, q = model.p, model.q
-        disc = q * q + 4.0 * p * q
-        h1, h2 = 1.0, q
-        scale = p * p
-        trace = q
-    else:
-        a, b = model.alpha, model.beta
-        disc = b * b + 4.0 * (1.0 - a) * (1.0 - b)
-        h1, h2 = model.p1, model.q1 * (1.0 - b)
-        scale = a
-        trace = b
-    root = math.sqrt(disc)
-    r1 = 0.5 * (trace + root)
-    r2 = 0.5 * (trace - root)
+    a, b = model.alpha, model.beta
+    h1, h2 = model.p1, model.q1 * (1.0 - b)
+    root = math.sqrt(b * b + 4.0 * (1.0 - a) * (1.0 - b))
+    r1 = 0.5 * (b + root)
+    r2 = 0.5 * (b - root)
     c1 = (h2 - r2 * h1) / (r1 * (r1 - r2))
     c2 = (r1 * h1 - h2) / (r2 * (r1 - r2))
-    return scale * (c1 * r1 ** (v - 1) + c2 * r2 ** (v - 1))
+    return a * (c1 * r1 ** (v - 1) + c2 * r2 ** (v - 1))
 
 
 def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:

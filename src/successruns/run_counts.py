@@ -2,18 +2,12 @@
 
 Contains the deterministic counters that define each counting scheme on a
 concrete 0/1 sequence (these are the ground truth the exhaustive oracle is
-built on), plus two analytic routes to the distribution of the count N_n:
-
-* the default route inverts waiting times: N_n >= x exactly when the x-th
-  occurrence arrives by trial n, so P(N_n = x) differences two waiting-time
-  cdfs;
-* a second route runs an in-n recursion on the sequence of polynomials
-  G_n(w) = sum_x P(N_n = x) w^x, derived from the joint generating function
-  sum_n G_n(w) z^n = [1 - H(z)(1-w)/(1 - w A(z))] / (1-z).  Because w enters
-  that expression linearly, both its numerator and denominator split as
-  U0(z) + w U1(z) and V0(z) + w V1(z), and the recursion updates dense
-  w-polynomials with scalar z-coefficients — no two-variable rational
-  arithmetic is ever performed.
+built on), and the distribution of the count N_n by inverting waiting
+times: N_n >= x exactly when the x-th occurrence arrives by trial n, so
+P(N_n = x) differences two waiting-time cdfs.  The test suite referees it
+against exact rational laws and against exhaustive enumeration; the
+inversion cancels in float64 at long horizons (from n = 40 on at IID(3/8),
+k = 2, scheme III, its worst entry is more than 1e-9 off relative).
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .models import Pmf, TrialModel
-from .polyseries import Poly, RationalGF
+from .polyseries import RationalGF
 from .rth_waiting import RunMoments, Scheme, _rth_rows, occurrence_factors
 
 
@@ -164,57 +158,6 @@ def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
         raise ValueError(f"horizon n must be >= 0, got {n}")
     h, a = occurrence_factors(model, k, scheme)
     return _count_laws(h, a, k, scheme, range(n, n + 1))[0]
-
-
-def _joint_count_parts(h: RationalGF, a: RationalGF) -> tuple[Poly, ...]:
-    """U0, U1, V0, V1: the joint count gf [1 - H(1-w)/(1 - wA)] / (1-z),
-    from the factors H and A, is (U0 + w U1) / (V0 + w V1)."""
-    one_minus_z = Poly((1.0, -1.0))
-    u0 = (h.den - h.num) * a.den
-    u1 = h.num * a.den - h.den * a.num
-    v0 = one_minus_z * h.den * a.den
-    v1 = -1.0 * (one_minus_z * h.den * a.num)
-    return u0, u1, v0, v1
-
-
-def count_polynomials(
-    model: TrialModel, k: int, scheme: Scheme, n: int
-) -> list[Poly]:
-    """G_0(w)..G_n(w) where G_m(w) = sum_x P(N_m = x) w^x.
-
-    Runs the in-n recursion induced by the joint generating function's
-    denominator; each G_m is a dense polynomial in w.
-    """
-    if n < 0:
-        raise ValueError(f"horizon n must be >= 0, got {n}")
-    u0, u1, v0, v1 = _joint_count_parts(*occurrence_factors(model, k, scheme))
-    assert v0[0] == 1.0 and v1[0] == 0.0
-
-    w_shift = Poly((0.0, 1.0))
-    depth = max(v0.degree, v1.degree)
-    gs: list[Poly] = []
-    for m in range(n + 1):
-        acc = Poly((u0[m],)) + Poly((u1[m],)) * w_shift
-        for j in range(1, min(m, depth) + 1):
-            c0, c1 = v0[j], v1[j]
-            prev = gs[m - j]
-            if c0 != 0.0:
-                acc = acc - c0 * prev
-            if c1 != 0.0:
-                acc = acc - Poly((c1,)) * w_shift * prev
-        gs.append(acc)
-    return gs
-
-
-def counts_pmf_recursive(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
-    """Same distribution as :func:`counts_pmf` via the polynomial recursion."""
-    scheme = Scheme.from_label(scheme)
-    g_n = count_polynomials(model, k, scheme, n)[n]
-    xmax = max_count(n, k, scheme)
-    probs = np.zeros(xmax + 1)
-    for x in range(min(xmax, g_n.degree) + 1):
-        probs[x] = g_n[x]
-    return Pmf(offset=0, probs=probs)
 
 
 def counts_moments(model: TrialModel, n: int, k: int, scheme: Scheme) -> RunMoments:

@@ -28,7 +28,7 @@ from successruns.checks import (
     write_ledger,
 )
 from successruns.geometric import longest_run_pmf
-from successruns.models import IID, Markov
+from successruns.models import IID, ConsistencyError, Markov
 from successruns.rth_waiting import trk_moments, trk_pmf
 from successruns.run_counts import counts_pmf
 
@@ -218,6 +218,45 @@ def test_an_error_in_an_entry_reaches_the_caller(group):
 
     with pytest.raises(ZeroDivisionError, match="inside the entry"):
         measure(group)
+
+
+@pytest.mark.parametrize("module", [checks_iid, checks_markov])
+def test_a_nan_row_in_a_waiting_time_table_never_reads_as_agreement(
+    module, group, monkeypatch
+):
+    # row r = 4 of every waiting-time table is NaN: an entry that reads the
+    # row must raise, never keep a finite worst gap over the other rows.  An
+    # entry whose deviation moves when the row is set to 0.5 reads it.
+    fill = [None]
+
+    def table(model, k, scheme, rmax, nmax):
+        rows = trk_rows(model, k, scheme, rmax, nmax).copy()
+        if fill[0] is not None:
+            rows[4] = fill[0]
+        return rows
+
+    def alone(rec, row4):
+        fill[0] = row4
+        monkeypatch.setitem(checks._GROUPS, group, [rec])
+        return measure(group)[0].max_deviation
+
+    monkeypatch.setattr(module, "trk_rows", table)
+    raised = []
+    for records in list(checks._GROUPS.values()):
+        for rec in records:
+            if rec.deviation.__module__ != module.__name__:
+                continue
+            clean, moved = alone(rec, None), alone(rec, 0.5)
+            try:
+                poisoned = alone(rec, np.nan)
+            except ConsistencyError as err:
+                assert str(err).startswith(f"{rec.formula_id}: deviation nan")
+                raised.append(rec.formula_id)
+                continue
+            assert poisoned == moved == clean, rec.formula_id
+    assert raised
+    if module is checks_markov:
+        assert {"markov-trk2-step-ratio", "markov-trk3-step-ratio"} <= set(raised)
 
 
 def test_a_cold_catalog_builds_each_factor_pair_once(monkeypatch):

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from exact_referee import chain_of, gaps, longest_law, wait_law
 
 from successruns.fibk import fib_k
 from successruns.geometric import (
@@ -132,6 +133,40 @@ def assert_longest_duality(model, n, ks):
         at_least = float(pm.probs[k:].sum())
         by_wait = float(vk_pmf(model, k, vmax=n).probs.sum())
         assert abs(at_least - by_wait) < 1e-12, (k, at_least, by_wait)
+
+
+DYADIC = [IID(0.375), Markov(0.5, 0.25, 0.625)]
+
+
+@pytest.mark.parametrize("model", DYADIC)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_first_run_law_matches_the_exact_law(model, k):
+    law = wait_law(chain_of(model), k, 1, "I", 200)
+    tv, rel = gaps(vk_pmf(model, k, vmax=200), law)
+    assert tv <= 1e-12 and rel <= 1e-9, (tv, rel)
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    [(m, 30) for m in DYADIC]
+    + [
+        pytest.param(
+            m,
+            40,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="P(L_n = 0) is taken as 1 - P(V_1 <= n), which "
+                "cancels: at n = 40 it is 8.6e-9 (chain) and 2.0e-8 (IID) "
+                "relative off",
+            ),
+        )
+        for m in DYADIC
+    ],
+)
+def test_longest_run_law_matches_the_exact_law(model, n):
+    tv, rel = gaps(longest_run_pmf(model, n), longest_law(chain_of(model), n))
+    assert tv <= 1e-12 and rel <= 1e-9, (tv, rel)
 
 
 def test_longest_run_five_fair_trials_by_hand():

@@ -5,16 +5,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from exact_referee import chain_of, count_law, gaps
 
 from successruns.checks import counts_rows
-from successruns.models import IID, Markov, Pmf, tv_distance
+from successruns.models import IID, Markov, Pmf
 from successruns.rth_waiting import Scheme, trk_pmf
 from successruns.run_counts import (
-    count_polynomials,
     count_runs,
     counts_moments,
     counts_pmf,
-    counts_pmf_recursive,
     first_occurrence_index,
     max_count,
     occurrence_indices,
@@ -129,17 +128,58 @@ def test_counts_pmf_is_a_complete_distribution(model, scheme, n, k):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("n,k", [(6, 2), (10, 2), (11, 3)])
 def test_inversion_and_polynomial_routes_agree(model, scheme, n, k):
-    a = counts_pmf(model, n, k, scheme)
-    b = counts_pmf_recursive(model, n, k, scheme)
-    assert tv_distance(a, b) < 1e-11
+    # the polynomial route is the exact law: the coefficients of G_n(w)
+    law = count_law(chain_of(model), n, k, scheme.value)
+    tv, rel = gaps(counts_pmf(model, n, k, scheme), law)
+    assert tv <= 1e-12 and rel <= 1e-9, (tv, rel)
 
 
 def test_count_polynomials_are_probability_generating():
-    gs = count_polynomials(IID(0.4), 2, Scheme.NON_OVERLAPPING, 12)
-    assert len(gs) == 13
-    for g in gs:
-        assert math.isclose(g(1.0), 1.0, abs_tol=1e-12)
-        assert all(c >= -1e-12 for c in g.coeffs)
+    chain = chain_of(IID(0.4))
+    for m in range(13):
+        g = count_law(chain, m, 2, "I")
+        assert sum(g) == 1 and min(g) >= 0
+        assert len(g) == max_count(m, 2, Scheme.NON_OVERLAPPING) + 1
+        tv, rel = gaps(counts_pmf(IID(0.4), m, 2, Scheme.NON_OVERLAPPING), g)
+        assert tv <= 1e-12 and rel <= 1e-9, (m, tv, rel)
+
+
+def _inversion_cancels(figure):
+    return pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=f"the waiting-time inversion differences cdfs whose series "
+        f"cancel in float64 around repeated roots: {figure}",
+    )
+
+
+@pytest.mark.parametrize(
+    "model,n,scheme",
+    [
+        pytest.param(
+            IID(0.5), 100, "III",
+            marks=_inversion_cancels("TV 1.0e-2, mean 24.7585 for 24.75"),
+        ),
+        pytest.param(IID(0.5), 100, "II", marks=_inversion_cancels("TV 2.5e-6")),
+        pytest.param(IID(0.5), 100, "I", marks=_inversion_cancels("TV 4.7e-8")),
+        pytest.param(IID(0.5), 80, "III", marks=_inversion_cancels("TV 1.9e-6")),
+        pytest.param(
+            IID(0.375), 60, "III",
+            marks=_inversion_cancels("TV 2.7e-9, 5.0e-6 relative"),
+        ),
+        pytest.param(
+            IID(0.375), 40, "III", marks=_inversion_cancels("1.3e-9 relative")
+        ),
+        pytest.param(
+            Markov(0.5, 0.25, 0.625), 60, "III",
+            marks=_inversion_cancels("8.0e-7 relative"),
+        ),
+    ],
+)
+def test_long_horizon_counts_match_the_exact_law(model, n, scheme):
+    law = count_law(chain_of(model), n, 2, scheme)
+    tv, rel = gaps(counts_pmf(model, n, 2, scheme), law)
+    assert tv <= 1e-12 and rel <= 1e-9, (tv, rel)
 
 
 @pytest.mark.parametrize("model", MODELS)
