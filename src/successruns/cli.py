@@ -39,8 +39,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _non_finite(x: float) -> ValueError:
+    return ValueError(f"non-finite number {x!r} in an output record")
+
+
+class PmfRows:
+    """A pmf table's [value, probability] rows, which :func:`_render` writes
+    in one pass under one finiteness check of the whole column."""
+
+    __slots__ = ("values", "probs")
+
+    def __init__(self, pm: Pmf):
+        self.values = range(pm.offset, pm.offset + len(pm.probs))
+        self.probs = pm.probs
+
+    def __iter__(self):
+        return zip(self.values, self.probs.tolist())
+
+    def json(self) -> str:
+        finite = np.isfinite(self.probs)
+        if not finite.all():
+            raise _non_finite(float(self.probs[~finite][0]))
+        row = "[{}, {:.17g}]".format
+        return "[" + ", ".join(map(row, self.values, self.probs.tolist())) + "]"
+
+
 def _render(value) -> str:
     """JSON text with floats at 17 significant digits, rejecting non-finite."""
+    if isinstance(value, PmfRows):
+        return value.json()
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -50,7 +77,7 @@ def _render(value) -> str:
     if isinstance(value, (float, np.floating)):
         x = float(value)
         if not np.isfinite(x):
-            raise ValueError(f"non-finite number {x!r} in an output record")
+            raise _non_finite(x)
         return _fmt(x)
     if isinstance(value, str):
         return json.dumps(value)
@@ -100,7 +127,7 @@ class OutputRecord:
         for name in sorted(self.parameters):
             lines.append(f"parameter,{name},{cell(self.parameters[name])}")
         for name, entry in self.payload.items():
-            if isinstance(entry, (list, tuple)):
+            if isinstance(entry, (list, tuple, PmfRows)):
                 for row in entry:
                     cells = row if isinstance(row, (list, tuple)) else (row,)
                     lines.append(",".join([name] + [cell(c) for c in cells]))
@@ -114,13 +141,14 @@ class OutputRecord:
         return lines
 
     def emit(self, fmt: str) -> None:
+        try:
+            lines = [self.json_line()] if fmt == "json" else self.csv_lines()
+        except ValueError as exc:  # a non-finite number
+            raise click.ClickException(str(exc))
         # an explicit file keeps click from caching (and so keeping alive)
         # whatever stream sys.stdout is at the time
-        if fmt == "json":
-            click.echo(self.json_line(), file=sys.stdout)
-        else:
-            for line in self.csv_lines():
-                click.echo(line, file=sys.stdout)
+        for line in lines:
+            click.echo(line, file=sys.stdout)
 
 
 def _model_from(iid, markov):
@@ -173,10 +201,7 @@ def _format_option(fn):
 
 
 def _pmf_payload(pm: Pmf) -> dict:
-    rows = [
-        [int(pm.offset + i), float(p)] for i, p in enumerate(pm.probs)
-    ]
-    return {"rows": rows, "tail": float(pm.tail)}
+    return {"rows": PmfRows(pm), "tail": float(pm.tail)}
 
 
 @click.group()

@@ -14,7 +14,10 @@ generalized Fibonacci sequence scaled by powers of two, which is what the
 cross-checks against :mod:`successruns.fibk` exploit.  The same machinery
 yields the rational probability generating functions, a two-root closed form
 for k = 2, and the distribution of the longest success run over a fixed
-horizon via the equivalence P(V <= n) = P(longest run in n trials >= k).
+horizon via the equivalence P(V <= n) = P(longest run in n trials >= k): by
+the recursion for run lengths below a cut k*(n) of about log_{1/alpha} n,
+and past it by a first-order sum over the trials where a run can start,
+exact to rounding there.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ MAX_HORIZON = 10**7
 #: The block matrix of :func:`_h_sequence` holds at most twice this many
 #: entries, which bounds its memory when both k and the horizon are large.
 _BLOCK_ENTRIES = 2**20
-#: Values of k advanced together by :func:`longest_run_pmf`.
-_LONGEST_CHUNK = 64
+#: Entries of the recursion buffer of :func:`_longest_laws`: the run lengths
+#: up to the cut advance in one sweep while (horizon + cut) times their
+#: number stays within it, and in chunks of run lengths only past it.
+_LONGEST_ENTRIES = 2**20
 
 
 def _lags(model: TrialModel, d: int) -> np.ndarray:
@@ -361,31 +366,114 @@ def _first_run_cdfs(model: TrialModel, ks: np.ndarray, n: int) -> np.ndarray:
     return model.alpha ** (ks - 1) * np.cumsum(h[width:], axis=0)
 
 
-def _longest_laws(model: TrialModel, horizons: range) -> list[Pmf]:
-    """Laws of the longest success run in n trials, each n in horizons.
+def _longest_cut(model: TrialModel, n: int) -> int:
+    """k*(n): the smallest run length k >= 1 from which P(V(k) <= n) is the
+    first-order sum of :func:`_longest_laws` to rounding.
 
-    Uses P(longest >= k) = P(V(k) <= n), differencing consecutive k.  The
-    waiting-time laws for every k come from one pass of the shared
-    recursion to the last horizon, _LONGEST_CHUNK run lengths at a time,
-    and every horizon reads its P(V(k) <= n) off the same cumulative sums.
-    The support 0..n is complete, so each tail is exactly zero.
+    That is the smallest k with 2k >= n, where at most one run of length
+    >= k fits in n trials and the sum is exact, or with delta = n (1 - beta)
+    alpha^(k-1) <= 2^-53, where the overlaps it drops are below rounding.
+    """
+    half = (n + 1) // 2
+    if half <= 1:
+        return 1
+    rate = n * (1.0 - model.beta)
+    # (k - 1) log alpha <= log(2^-53 / rate), in logs so nothing overflows
+    lags = math.ceil((-53 * math.log(2.0) - math.log(rate)) / math.log(model.alpha))
+    return min(half, 1 + max(0, lags))
+
+
+def _failure_laws(model: TrialModel, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(X_t = 0) for the trials t = 1..m, and F(t) = sum_{s<=t} P(X_s = 0).
+
+    A two-state forward pass, doubled: with T the transition and x_t the
+    law of trial t, the laws of trials L+1..2L are T^L x_1..T^L x_L, and
+    their running sums add T^L (x_1 + .. + x_i) to the first L's total.  A
+    sum of m values is thus built in about log2 m levels of non-negative
+    products and sums, not m sequential additions.  Each trial's values come
+    out the same whatever m is.
+    """
+    a, b = model.alpha, model.beta
+    step = np.array([[a, 1.0 - b], [1.0 - a, b]])  # (success, failure) onward
+    # x[state, 0, t - 1] = P(X_t = state), x[state, 1, t - 1] its running sum
+    x = np.array([[[model.p1]] * 2, [[model.q1]] * 2])
+    while x.shape[2] < m:
+        moved = (step @ x.reshape(2, -1)).reshape(x.shape)
+        moved[:, 1] += x[:, 1, -1:]
+        x = np.concatenate([x, moved], axis=2)
+        step = step @ step
+        step /= step.sum(axis=0)  # a squared power drifts off unit mass
+    return x[1, 0, :m], x[1, 1, :m]
+
+
+def _longest_laws(model: TrialModel, horizons: range) -> list[Pmf]:
+    """Laws of the longest success run L_n in n trials, each n in horizons.
+
+    P(L_n = 0) = q1 beta^(n-1), the all-failure path.  Past it the law
+    follows from P(L_n >= k) = P(V(k) <= n), which takes two routes, split
+    at each horizon's cut k*(n) (:func:`_longest_cut`).
+
+    From k*(n) on, P(V(k) <= n) is the first-order sum over the trials s
+    where a run of k successes can start (Feller vol. I, XIII.7;
+    Balakrishnan & Koutras, *Runs and Scans with Applications*, 2002,
+    ch. 2):
+
+      S_k = alpha^(k-1) (p1 + (1 - beta) F(n-k)),  F(m) = sum_{t<=m} P(X_t = 0).
+
+    It counts a sequence once per such run, so it is exact when 2k >= n,
+    where at most one fits.  Otherwise two starts co-occur with probability
+    at most P(start at s) (1 - beta) alpha^(k-1) summed over s, so P(V(k)
+    <= n) >= S_k (1 - delta) with delta = n (1 - beta) alpha^(k-1) <=
+    2^-53: S_k is within relative error delta / (1 - delta) of it.  Entry
+    j >= k* is S_j - S_{j+1}, written out as the non-negative sum
+
+      alpha^(j-1) ((1 - alpha) (p1 + (1 - beta) F(n-j-1))
+                   + (1 - beta) P(X_{n-j} = 0))
+
+    (alpha^(n-1) p1 at j = n), so nothing cancels in floating point; it is
+    within (delta / (1 - delta)) P(L_n >= j) / P(L_n = j) of exact.
+
+    Below the cut, entry j is P(V(j) <= n) - P(V(j+1) <= n) from the h
+    recursion, which runs for k <= k*(n) only, so that entry k* - 1, too, is
+    a difference within one route.  That is about log_{1/alpha}(n (1 -
+    beta) / 2^-53) run lengths, each step a weighted sum over a window of up
+    to k* values, at a cost of O(n k*^2) rather than O(n^3).  One pass to the
+    last horizon advances them together while its buffer stays within
+    _LONGEST_ENTRIES entries (in chunks of run lengths only past it), and
+    every horizon reads its P(V(k) <= n) off the same cumulative sums.  Each
+    horizon takes its own cut, so every law is the one a single horizon
+    gives.  The support 0..n is complete, so each tail is exactly zero.
     """
     if not horizons:
         return []
     nmax = horizons[-1]
-    # cdf[k - 1] = P(V(k) <= n) at k = 1..n+1; zero for k = n+1
-    cdfs = [np.zeros(n + 1) for n in horizons]
-    for first in range(1, nmax + 1, _LONGEST_CHUNK):
-        ks = np.arange(first, min(first + _LONGEST_CHUNK, nmax + 1))
+    cuts = [_longest_cut(model, n) for n in horizons]
+    # cdf[k - 1] = P(V(k) <= n) from the recursion, k = 1..k*(n); none at
+    # k* = 1, where every entry past the first comes from the sum
+    cdfs = [np.zeros(cut if cut > 1 else 0) for cut in cuts]
+    top = max(len(cdf) for cdf in cdfs)
+    chunk = max(1, _LONGEST_ENTRIES // (nmax + top + 1))
+    for first in range(1, top + 1, chunk):
+        ks = np.arange(first, min(first + chunk, top + 1))
         sums = _first_run_cdfs(model, ks, nmax)
         for n, cdf in zip(horizons, cdfs):
-            reach = ks[ks <= n]
+            reach = ks[ks <= len(cdf)]
             cdf[reach - 1] = sums[n - reach, reach - first]
+    zeros, running = _failure_laws(model, max(nmax - 1, 0))  # trials t < nmax
+    before = np.concatenate(([0.0], running))  # F(m), m = 0..nmax-1
+    a, p1, lift = model.alpha, model.p1, 1.0 - model.beta
     laws = []
-    for cdf in cdfs:
-        probs = np.empty(len(cdf))
-        probs[0] = 1.0 - cdf[0]
-        probs[1:] = cdf[:-1] - cdf[1:]
+    for n, cut, cdf in zip(horizons, cuts, cdfs):
+        probs = np.empty(n + 1)
+        probs[0] = model.q1 * model.beta ** (n - 1) if n else 1.0
+        probs[1:cut] = cdf[:-1] - cdf[1:]  # empty at k* = 1
+        js = np.arange(cut, n)
+        after = n - js - 1  # F(n-j-1) and P(X_{n-j} = 0)
+        probs[cut:n] = a ** (js - 1) * (
+            (1.0 - a) * (p1 + lift * before[after]) + lift * zeros[after]
+        )
+        if n:
+            probs[n] = a ** (n - 1) * p1
         laws.append(Pmf(offset=0, probs=probs))
     return laws
 

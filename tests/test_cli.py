@@ -10,11 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
-from successruns import checks_iid, inference
+from successruns import checks_iid, cli, inference
 from successruns.checks import vk_row
-from successruns.cli import main
+from successruns.cli import PmfRows, _render, main
 from successruns.fibk import fib_k
-from successruns.geometric import MAX_HORIZON
+from successruns.geometric import MAX_HORIZON, longest_run_pmf, vk_pmf
+from successruns.models import IID, Markov
+from successruns.run_counts import counts_pmf
 
 
 def run(capsys, *argv):
@@ -427,3 +429,35 @@ def test_rare_success_queries_answer_or_fail_in_one_line(capsys, argv):
     else:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "pm",
+    [
+        vk_pmf(IID(0.519), 3),
+        vk_pmf(IID(0.5), 2, vmax=1),
+        longest_run_pmf(Markov(0.45, 0.3, 0.6), 80),
+        counts_pmf(IID(0.5), 30, 2, "III"),
+    ],
+)
+def test_pmf_rows_render_as_the_generic_rows_did(pm):
+    # one pass over the table writes what the per-value walk wrote
+    rows = PmfRows(pm)
+    generic = [[int(pm.offset + i), float(p)] for i, p in enumerate(pm.probs)]
+    assert [list(row) for row in rows] == generic
+    assert _render(rows) == _render(generic)
+
+
+def test_a_non_finite_pmf_entry_fails_in_one_line(capsys, monkeypatch):
+    def poisoned(model, k, vmax=None):
+        pm = vk_pmf(model, k, vmax=vmax)
+        pm.probs[3] = np.nan
+        return pm
+
+    monkeypatch.setattr(cli, "vk_pmf", poisoned)
+    code, out, err = run(
+        capsys, "pmf", "--iid", "0.5", "--stat", "vk", "--k", "2", "--vmax", "10"
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "non-finite number nan" in err

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from exact_referee import chain_of, gaps, longest_law, wait_law
 
+from successruns import geometric
 from successruns.fibk import fib_k
 from successruns.geometric import (
     _BLOCK_ENTRIES,
-    _LONGEST_CHUNK,
     MAX_HORIZON,
     _h_sequence,
     _HPlan,
     _lags,
+    _longest_cut,
     _longest_laws,
     _seeds,
     default_vmax,
@@ -26,7 +27,7 @@ from successruns.geometric import (
     vk_pmf_closedform_k2,
 )
 from successruns.inference import fit_iid, loglik_vk
-from successruns.models import IID, Markov
+from successruns.models import IID, Markov, Pmf
 from successruns.oracle import (
     LongestRun,
     SeededStream,
@@ -110,10 +111,101 @@ def test_vk_sub_support_horizon_is_all_tail():
 
 
 # ---------------------------------------------------------------------------
-# longest_run_pmf: all run lengths in one pass
+# longest_run_pmf: the recursion below the cut, the first-order sum past it
 
-LONGEST_NS = [1, 2, 3, _LONGEST_CHUNK - 1, _LONGEST_CHUNK, _LONGEST_CHUNK + 1,
-              2 * _LONGEST_CHUNK + 1]
+#: Horizons at the edges of the old route's chunks of 64 run lengths.
+LONGEST_NS = [1, 2, 3, 63, 64, 65, 129]
+
+
+def _first_run_cdfs_old(model, ks, n):
+    """_first_run_cdfs as the old route ran it (kept verbatim)."""
+    count = n - int(ks[0]) + 1  # the first row needs the most values
+    width = min(int(ks[-1]), count - 1)
+    seeds = _seeds(model)[:count]
+    lag = np.arange(width, 0, -1)  # window row m holds h_{v-lag[m]}
+    weights = _lags(model, width)[::-1, None] * (lag[:, None] <= ks)
+    h = np.zeros((width + count, len(ks)))  # width zero rows: h_v, v <= 0
+    h[width : width + len(seeds)] = seeds[:, None]
+    for t in range(len(seeds), count):
+        h[width + t] = np.einsum("mr,mr->r", weights, h[t : t + width])
+    return model.alpha ** (ks - 1) * np.cumsum(h[width:], axis=0)
+
+
+def _longest_laws_all_k(model, horizons):
+    """_longest_laws as it ran the recursion for every run length, 64 at a
+    time, and took P(L_n = 0) as 1 - P(V(1) <= n) (kept verbatim)."""
+    if not horizons:
+        return []
+    nmax = horizons[-1]
+    # cdf[k - 1] = P(V(k) <= n) at k = 1..n+1; zero for k = n+1
+    cdfs = [np.zeros(n + 1) for n in horizons]
+    for first in range(1, nmax + 1, 64):
+        ks = np.arange(first, min(first + 64, nmax + 1))
+        sums = _first_run_cdfs_old(model, ks, nmax)
+        for n, cdf in zip(horizons, cdfs):
+            reach = ks[ks <= n]
+            cdf[reach - 1] = sums[n - reach, reach - first]
+    laws = []
+    for cdf in cdfs:
+        probs = np.empty(len(cdf))
+        probs[0] = 1.0 - cdf[0]
+        probs[1:] = cdf[:-1] - cdf[1:]
+        laws.append(Pmf(offset=0, probs=probs))
+    return laws
+
+
+CUT_MODELS = [IID(0.5), IID(0.83), Markov(0.45, 0.3, 0.6), Markov(0.3, 0.9, 0.2)]
+
+
+@pytest.mark.parametrize("model", CUT_MODELS)
+@pytest.mark.parametrize("n", [*LONGEST_NS, 253, 1000, 2000])
+def test_longest_run_law_agrees_with_the_all_k_route(model, n):
+    got = longest_run_pmf(model, n).probs
+    want = _longest_laws_all_k(model, range(n, n + 1))[0].probs
+    assert 0.5 * np.abs(got - want).sum() <= 1e-15
+    # P(L_n = 0) is mended: the old route took it as 1 - P(V(1) <= n)
+    assert got[0] == model.q1 * model.beta ** (n - 1)
+    big = want[1:] > 1e-300
+    rel = np.abs(got[1:][big] - want[1:][big]) / want[1:][big]
+    assert rel.max(initial=0.0) <= 1e-13
+
+
+def test_longest_cut_takes_the_first_order_sum_where_it_is_exact_or_rounding():
+    # 2k >= n binds at short horizons; delta = n (1 - beta) alpha^(k-1) <=
+    # 2^-53 at long ones, and the cut is the smallest k with either
+    for model in CUT_MODELS:
+        for n in range(1, 3000, 37):
+            cut = _longest_cut(model, n)
+            rate = n * (1.0 - model.beta)
+            below, at = rate * model.alpha ** np.array([cut - 2, cut - 1])
+            assert 2 * cut >= n or at <= 2.0**-53, (n, cut)
+            if cut > 1:
+                assert 2 * (cut - 1) < n and below > 2.0**-53, (n, cut)
+    assert _longest_cut(IID(0.5), 20) == 10 and _longest_cut(IID(0.5), 21) == 11
+    assert _longest_cut(Markov(0.3, 0.9, 0.2), 2000) == 420
+
+
+def test_longest_laws_sweep_in_chunks_past_the_entry_budget(monkeypatch):
+    # 2^17 entries split the 238 run lengths below the cut at n = 2000 into
+    # five chunks of 58; as with many horizons, a chunk's narrower window may
+    # be summed in another order, which moves an entry by a few 1e-16
+    model, n = IID(0.83), 2000
+    whole = longest_run_pmf(model, n).probs
+    monkeypatch.setattr(geometric, "_LONGEST_ENTRIES", 2**17)
+    chunked = longest_run_pmf(model, n).probs
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [IID(0.5), Markov(0.3, 0.9, 0.2)])
+def test_longest_run_law_at_5000_trials_within_budget(model):
+    n = 5000
+    start = time.perf_counter()
+    longest_run_pmf(model, n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, elapsed
+    cut = _longest_cut(model, n)
+    ks = sorted({*range(1, 40), *range(40, n + 1, 397), cut - 1, cut, cut + 1, n})
+    assert_longest_duality(model, n, ks)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -146,22 +238,40 @@ def test_first_run_law_matches_the_exact_law(model, k):
     assert tv <= 1e-12 and rel <= 1e-9, (tv, rel)
 
 
+def _low_entries_cancel(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
 @pytest.mark.parametrize(
     "model,n",
-    [(m, 30) for m in DYADIC]
+    [(m, n) for n in (30, 40) for m in DYADIC]
+    # the cut, at 2k = n and at 2k = n + 1, and at delta <= 2^-53 (k* = 30)
+    + [(m, n) for m in DYADIC for n in (20, 21)]
+    + [(DYADIC[1], 80)]
     + [
         pytest.param(
-            m,
-            40,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="P(L_n = 0) is taken as 1 - P(V_1 <= n), which "
-                "cancels: at n = 40 it is 8.6e-9 (chain) and 2.0e-8 (IID) "
-                "relative off",
+            Markov(0.3, 0.9, 0.2),
+            30,
+            marks=_low_entries_cancel(
+                "P(L_n = 1) = P(V(1) <= n) - P(V(2) <= n) cancels at high "
+                "alpha: 8.2e-5 relative off at n = 30 (TV 1.2e-15)"
             ),
-        )
-        for m in DYADIC
+        ),
+        pytest.param(
+            Markov(0.3, 0.9, 0.2),
+            60,
+            marks=_low_entries_cancel(
+                "P(L_n = 1) is 100% off at n = 60 (P(L_n = 2) 4.6e-2; TV "
+                "2.3e-15)"
+            ),
+        ),
+        pytest.param(
+            IID(0.62),
+            60,
+            marks=_low_entries_cancel(
+                "P(L_n = 1) is 1.3e-7 relative off at n = 60 (TV 7.6e-16)"
+            ),
+        ),
     ],
 )
 def test_longest_run_law_matches_the_exact_law(model, n):
@@ -207,11 +317,12 @@ def test_longest_run_columns_match_enumeration(model):
 
 
 def test_longest_laws_for_many_horizons_past_one_chunk():
-    # past the first chunk of run lengths, one pass to n = 130 sums a wider
-    # window of the recursion than a pass to a shorter horizon does; the
-    # extra terms are exact zeros, but a numpy build may associate the
-    # window's sum differently, which moves an entry by a few 1e-16
-    model, nmax = IID(0.62), 2 * _LONGEST_CHUNK + 2
+    # one pass to n = 130 runs the recursion for run lengths up to the last
+    # horizon's cut and sums a wider window of it than a pass to a shorter
+    # horizon does; the extra terms are exact zeros, but a numpy build may
+    # associate the window's sum differently, which moves an entry by a few
+    # 1e-16
+    model, nmax = IID(0.62), 130
     laws = _longest_laws(model, range(nmax + 1))
     assert len(laws) == nmax + 1
     for n, law in enumerate(laws):
@@ -222,7 +333,8 @@ def test_longest_laws_for_many_horizons_past_one_chunk():
 
 def test_longest_run_duality_with_waiting_time():
     # the longest run reaches k within n trials iff the first k-run wait is
-    # <= n; the horizons straddle the edges of longest_run_pmf's chunks of k
+    # <= n; the horizons straddle the edges of the old route's chunks of k,
+    # and at n = 129 the faster chains' cut falls below n / 2
     for model in MODELS:
         for n in (4, 9, 15, *LONGEST_NS):
             assert_longest_duality(model, n, range(1, n + 1))
