@@ -35,12 +35,17 @@ from .run_counts import counts_moments, counts_pmf
 ORACLE_TOL = 1e-10
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _non_finite(x: float) -> ValueError:
     return ValueError(f"non-finite number {x!r} in an output record")
+
+
+def _fmt(x: float) -> str:
+    """A float at 17 significant digits, for both encodings; a non-finite
+    one is refused."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise _non_finite(x)
+    return format(x, ".17g")
 
 
 class PmfRows:
@@ -75,10 +80,7 @@ def _render(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise _non_finite(x)
-        return _fmt(x)
+        return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -171,6 +173,10 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
+#: A run length, occurrence index, horizon or sample size: an integer >= 1.
+_POSITIVE = click.IntRange(min=1)
+
+
 def _model_options(fn):
     fn = click.option(
         "--iid",
@@ -218,8 +224,8 @@ def cli():
     help="vk: first k-run wait; trk: r-th run wait; counts: number of "
     "runs in n trials; longest: longest run in n trials.",
 )
-@click.option("--k", type=int, default=None, help="Run length.")
-@click.option("--r", type=int, default=1, show_default=True)
+@click.option("--k", type=_POSITIVE, default=None, help="Run length.")
+@click.option("--r", type=_POSITIVE, default=1, show_default=True)
 @click.option(
     "--scheme",
     type=click.Choice(["I", "II", "III"]),
@@ -227,10 +233,10 @@ def cli():
     show_default=True,
     help="Run counting: I non-overlapping, II at-least, III overlapping.",
 )
-@click.option("--n", type=int, default=None, help="Trial horizon.")
+@click.option("--n", type=_POSITIVE, default=None, help="Trial horizon.")
 @click.option(
     "--vmax",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     help="Truncation point for waiting-time tables (default: far enough "
     "that the tail is negligible).",
@@ -242,7 +248,7 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
     sch = Scheme.from_label(scheme)
     params["stat"] = stat
     if stat in ("vk", "trk", "counts"):
-        _require(k is not None and k >= 1, "--k must be a positive integer")
+        _require(k is not None, f"--k is required for --stat {stat}")
         params["k"] = k
     kind = "pmf"
     try:
@@ -250,7 +256,6 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
             pm = vk_pmf(model, k, vmax=vmax)
             params["vmax"] = pm.support_end
         elif stat == "trk":
-            _require(r >= 1, "--r must be a positive integer")
             nmax = vmax if vmax is not None else r * default_vmax(model, k)
             if vmax is None and nmax > MAX_HORIZON:
                 raise ValueError(
@@ -261,12 +266,12 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
             pm = trk_pmf(model, k, r, sch, nmax)
             params.update({"r": r, "scheme": sch.value, "vmax": nmax})
         elif stat == "counts":
-            _require(n is not None and n >= 1, "--n must be a positive integer")
+            _require(n is not None, "--n is required for --stat counts")
             pm = counts_pmf(model, n, k, sch)
             params.update({"n": n, "scheme": sch.value})
             kind = "count"
         else:
-            _require(n is not None and n >= 1, "--n must be a positive integer")
+            _require(n is not None, "--n is required for --stat longest")
             pm = longest_run_pmf(model, n)
             params["n"] = n
     except (ValueError, ArithmeticError, RuntimeError) as exc:
@@ -281,31 +286,29 @@ def cmd_pmf(iid, markov, stat, k, r, scheme, n, vmax, fmt):
     type=click.Choice(["vk", "trk", "counts"]),
     required=True,
 )
-@click.option("--k", type=int, required=True, help="Run length.")
-@click.option("--r", type=int, default=1, show_default=True)
+@click.option("--k", type=_POSITIVE, required=True, help="Run length.")
+@click.option("--r", type=_POSITIVE, default=1, show_default=True)
 @click.option(
     "--scheme",
     type=click.Choice(["I", "II", "III"]),
     default="I",
     show_default=True,
 )
-@click.option("--n", type=int, default=None, help="Trial horizon (counts).")
+@click.option("--n", type=_POSITIVE, default=None, help="Trial horizon (counts).")
 @_format_option
 def cmd_moments(iid, markov, stat, k, r, scheme, n, fmt):
     """Mean and second raw moment of a run statistic."""
     model, params = _model_from(iid, markov)
     sch = Scheme.from_label(scheme)
-    _require(k >= 1, "--k must be a positive integer")
     params.update({"stat": stat, "k": k})
     try:
         if stat == "vk":
             mom = trk_moments(model, k, 1, Scheme.NON_OVERLAPPING)
         elif stat == "trk":
-            _require(r >= 1, "--r must be a positive integer")
             mom = trk_moments(model, k, r, sch)
             params.update({"r": r, "scheme": sch.value})
         else:
-            _require(n is not None and n >= 1, "--n must be a positive integer")
+            _require(n is not None, "--n is required for --stat counts")
             mom = counts_moments(model, n, k, sch)
             params.update({"n": n, "scheme": sch.value})
     except (ValueError, ArithmeticError, RuntimeError) as exc:
@@ -347,7 +350,7 @@ def _read_sample(path: str) -> list[int]:
 
 
 @cli.command("fit")
-@click.option("--k", type=int, required=True, help="Run length.")
+@click.option("--k", type=_POSITIVE, required=True, help="Run length.")
 @click.option(
     "--input",
     "input_path",
@@ -369,7 +372,7 @@ def _read_sample(path: str) -> list[int]:
     default=None,
     help="Draw the sample from a two-state chain (P1 ALPHA BETA).",
 )
-@click.option("--reps", type=int, default=None, help="Sample size to draw.")
+@click.option("--reps", type=_POSITIVE, default=None, help="Sample size to draw.")
 @click.option(
     "--seed",
     type=int,
@@ -391,7 +394,7 @@ def _read_sample(path: str) -> list[int]:
     help="Model family to fit (default: matches the simulation source, "
     "else iid).",
 )
-@click.option("--max-iter", type=click.IntRange(min=1), default=500, show_default=True)
+@click.option("--max-iter", type=_POSITIVE, default=500, show_default=True)
 @_format_option
 def cmd_fit(
     input_path,
@@ -406,7 +409,6 @@ def cmd_fit(
     fmt,
 ):
     """Maximum-likelihood fit from first-run waiting times."""
-    _require(k >= 1, "--k must be a positive integer")
     sources = [
         input_path is not None,
         simulate_iid is not None,
@@ -421,7 +423,7 @@ def cmd_fit(
         sample = np.asarray(_read_sample(input_path), dtype=np.int64)
         params["input"] = input_path
     else:
-        _require(reps is not None and reps >= 1, "--reps must be >= 1")
+        _require(reps is not None, "--reps is required when simulating")
         _require(seed is not None, "--seed is required when simulating")
         try:
             if simulate_iid is not None:
@@ -472,8 +474,8 @@ def cmd_fit(
 
 
 @cli.command("fib")
-@click.option("--k", type=int, required=True, help="Recurrence order.")
-@click.option("--n", type=int, required=True, help="1-based index.")
+@click.option("--k", type=_POSITIVE, required=True, help="Recurrence order.")
+@click.option("--n", type=_POSITIVE, required=True, help="1-based index.")
 @click.option(
     "--method",
     type=click.Choice(["recurrence", "dresden", "spickerman"]),
@@ -539,7 +541,7 @@ def _oracle_grid(n: int, kmax: int) -> list[list]:
 @cli.command("check")
 @click.option(
     "--n",
-    type=int,
+    type=click.IntRange(1, MAX_ENUM_TRIALS),
     default=10,
     show_default=True,
     help="Horizon for the exhaustive-enumeration grid (max "
@@ -548,7 +550,7 @@ def _oracle_grid(n: int, kmax: int) -> list[list]:
 @click.option(
     "--k",
     "kmax",
-    type=int,
+    type=_POSITIVE,
     default=3,
     show_default=True,
     help="Largest run length on the enumeration grid.",
@@ -569,8 +571,6 @@ def cmd_check(n, kmax, ledger, fmt):
     (a deviation that is not a finite number, a failed mass check) exits 1
     with its one-line message.
     """
-    _require(1 <= n <= MAX_ENUM_TRIALS, f"--n must be in [1, {MAX_ENUM_TRIALS}]")
-    _require(kmax >= 1, "--k must be a positive integer")
     try:
         oracle_rows = _oracle_grid(n, kmax)
         results = run_all()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .models import _check_integer
+
 _INT64_MAX = 2**63 - 1
 
 _MAX_ORDER = 32
@@ -36,10 +38,10 @@ def fib_k(k: int, n: int) -> int:
     OverflowError
         If the exact value does not fit in a signed 64-bit integer.
     """
-    if not 1 <= k <= _MAX_ORDER:
+    k = _check_integer("order k", k)
+    if k > _MAX_ORDER:
         raise ValueError(f"order k must be in [1, {_MAX_ORDER}], got {k}")
-    if n < 1:
-        raise ValueError(f"index n must be >= 1, got {n}")
+    n = _check_integer("index n", n)
     seq = _fib_cache.setdefault(k, [1])
     while len(seq) < n:
         i = len(seq)  # next value is f_{i+1}, 0-based position i
@@ -86,7 +88,8 @@ def char_roots(k: int) -> np.ndarray:
     Remaining roots follow in a fixed deterministic order.  Raises if any
     root fails its residual check, 1e-10 on the same scale.
     """
-    if not 2 <= k <= _MAX_ORDER:
+    k = _check_integer("order k", k, least=2)
+    if k > _MAX_ORDER:
         raise ValueError(f"order k must be in [2, {_MAX_ORDER}], got {k}")
     coeffs = [1.0] + [-1.0] * k
     roots = np.roots(coeffs)
@@ -127,8 +130,8 @@ def fib_k_dresden(k: int, n: int) -> float:
     ArithmeticError if the imaginary parts fail to cancel to below 1e-6,
     which signals accumulated root-finding error rather than a wrong formula.
     """
-    if n < 1:
-        raise ValueError(f"index n must be >= 1, got {n}")
+    n = _check_integer("index n", n)
+    k = _check_integer("order k", k, least=2)
     total = complex(0.0)
     for a in char_roots(k):
         total += (a - 1.0) / (2.0 + (k + 1) * (a - 2.0)) * a ** (n - 1)
@@ -144,8 +147,8 @@ def fib_k_spickerman(k: int, n: int) -> float:
 
     Same contract as fib_k_dresden, with the alternative weight expression.
     """
-    if n < 1:
-        raise ValueError(f"index n must be >= 1, got {n}")
+    n = _check_integer("index n", n)
+    k = _check_integer("order k", k, least=2)
     total = complex(0.0)
     for a in char_roots(k):
         ak = a**k

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .models import Pmf, TrialModel
+from .models import Pmf, TrialModel, _check_integer
 from .polyseries import Poly, RationalGF
 
 
@@ -200,19 +200,13 @@ def _h_sequence(model: TrialModel, k: int, count: int) -> np.ndarray:
     return _HPlan(k, count).run(model)
 
 
-def _validate_k(k: int) -> int:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"run length k must be a positive integer, got {k}")
-    return k
-
-
 def mean_wait(model: TrialModel, k: int) -> float:
     """E[V(k)] in closed form, from first-step equations over streak states.
 
     Stays finite far beyond where the pgf's moments cancel, which is where
     it is needed: to describe waits too long to tabulate.
     """
-    k = _validate_k(k)
+    k = _check_integer("run length k", k)
     a, b = model.alpha, model.beta
     try:
         # expected trials after a failure; after a success, 1/(1-b) fewer
@@ -264,7 +258,7 @@ def default_vmax(model: TrialModel, k: int) -> int:
     (:func:`_log_decay`) and returns max(10k, ceil(log(1e-12)/log(rho))).
     Raises ValueError when that exceeds MAX_HORIZON.
     """
-    k = _validate_k(k)
+    k = _check_integer("run length k", k)
     if 10 * k > MAX_HORIZON:
         raise horizon_error(model, k, 10 * k)
     log_rho = _log_decay(model, k)
@@ -290,9 +284,11 @@ def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:
     Pmf
         Offset k, entries for v = k..vmax, remaining mass in ``tail``.
     """
-    k = _validate_k(k)
+    k = _check_integer("run length k", k)
     if vmax is None:
         vmax = default_vmax(model, k)
+    else:
+        vmax = _check_integer("horizon vmax", vmax, least=0)
     if vmax < k:
         return Pmf(offset=k, probs=np.zeros(0), tail=1.0)
     probs = model.alpha ** (k - 1) * _h_sequence(model, k, vmax - k + 1)
@@ -308,7 +304,7 @@ def markov_vk_pgf(k: int, alpha: float, beta: float, first_p: float) -> Rational
     module, which restart the chain from a success (``first_p = alpha``) or
     from a failure (``first_p = 1 - beta``).
     """
-    k = _validate_k(k)
+    k = _check_integer("run length k", k)
     q_first = 1.0 - first_p
     lead = alpha ** (k - 1)
     num = Poly.term(lead * first_p, k) + Poly.term(lead * (q_first - beta), k + 1)
@@ -334,6 +330,7 @@ def vk_pmf_closedform_k2(model: TrialModel, v: int) -> float:
     with :func:`vk_pmf` to floating precision and exists purely as an
     independent route for the cross-check suites.
     """
+    v = _check_integer("trial index v", v)
     if v < 2:
         return 0.0
     a, b = model.alpha, model.beta
@@ -483,6 +480,5 @@ def longest_run_pmf(model: TrialModel, n: int) -> Pmf:
 
     Reads the one row of :func:`_longest_laws` at horizon n.
     """
-    if n < 0:
-        raise ValueError(f"horizon n must be >= 0, got {n}")
+    n = _check_integer("horizon n", n, least=0)
     return _longest_laws(model, range(n, n + 1))[0]

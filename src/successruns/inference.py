@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometric import (
-    MAX_HORIZON,
-    _HPlan,
-    _validate_k,
-    mean_wait,
-)
-from .models import IID, Markov
+from .geometric import MAX_HORIZON, _HPlan, mean_wait
+from .models import IID, Markov, _check_integer
 from .oracle import SeededStream
 
 
@@ -49,7 +44,15 @@ def expit(x: float) -> float:
 
 
 def _as_sample(sample, k: int) -> np.ndarray:
-    arr = np.asarray(sample, dtype=np.int64)
+    """The waits as an int64 array, after checking that each is an integer
+    in [k, MAX_HORIZON]: an array needs an integer dtype, and every entry
+    of any other sequence must pass the integer rule."""
+    if isinstance(sample, np.ndarray):
+        arr = sample
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"waiting times need an integer dtype, got {arr.dtype}")
+    else:
+        arr = np.array([_check_integer("waiting time", x, least=0) for x in sample])
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample must be a nonempty 1-d array of waiting times")
     if arr.min() < k:
@@ -62,7 +65,7 @@ def _as_sample(sample, k: int) -> np.ndarray:
             f"the largest waiting time, {int(arr.max())} trials, is above the "
             f"limit of {MAX_HORIZON} trials that a likelihood tabulates"
         )
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def loglik_vk(model, k: int, sample) -> float:
@@ -71,6 +74,7 @@ def loglik_vk(model, k: int, sample) -> float:
     Returns -inf when any observation carries zero probability (which a
     finite-precision pmf can legitimately produce deep in the tail).
     """
+    k = _check_integer("run length k", k)
     return _SampleLikelihood(k, _as_sample(sample, k))(model)
 
 
@@ -83,7 +87,7 @@ class _SampleLikelihood:
     """
 
     def __init__(self, k: int, arr: np.ndarray):
-        self._k = _validate_k(k)
+        self._k = k
         self._plan = _HPlan(k, int(arr.max()) - k + 1)
         self._at = arr - k
 
@@ -172,7 +176,7 @@ class _SampleScore:
     """
 
     def __init__(self, k: int, arr: np.ndarray):
-        self._k = _validate_k(k)
+        self._k = k
         self._plan = _HPlan(k, int(arr.max()) - k + 1, jet=6)
         waits, counts = np.unique(arr, return_counts=True)
         self._at = waits - k
@@ -359,8 +363,7 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
     The result carries the value with its sign flipped, as a minimizer's
     would.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = _check_integer("max_iter", max_iter)
     x = np.asarray(x0, dtype=np.float64)
     f, g, h = score_at(x)
     if not math.isfinite(f):
@@ -400,15 +403,17 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
     return NMResult(x, -f, max_iter, False)
 
 
-def _fit_sample(sample, k: int) -> np.ndarray:
-    """A sample that has passed _as_sample and has a likelihood maximum."""
+def _fit_sample(sample, k: int) -> tuple[np.ndarray, int]:
+    """A sample that has passed _as_sample and has a likelihood maximum,
+    with the run length as a Python int."""
+    k = _check_integer("run length k", k)
     arr = _as_sample(sample, k)
     if (arr == k).all():
         raise ValueError(
             f"every waiting time equals k={k}: the likelihood grows toward a "
             "success probability of 1 and has no maximum inside (0, 1)"
         )
-    return arr
+    return arr, k
 
 
 def _moment_start(sample: np.ndarray, k: int) -> float:
@@ -431,7 +436,7 @@ def _moment_start(sample: np.ndarray, k: int) -> float:
 
 def fit_iid(sample, k: int, max_iter: int = 500) -> FitResult:
     """MLE of the success probability from first-run waiting times."""
-    arr = _fit_sample(sample, k)
+    arr, k = _fit_sample(sample, k)
     start = np.array([_moment_start(arr, k)])
     res = _newton(_SampleScore(k, arr).iid_line, start, max_iter)
     model = IID(expit(float(res.x[0])))
@@ -454,7 +459,7 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
     beta = 1 - p, and every step gains, so the chain's likelihood is never
     below the IID one.  Both fits run on one jet plan.
     """
-    arr = _fit_sample(sample, k)
+    arr, k = _fit_sample(sample, k)
     score_at = _SampleScore(k, arr)
     start = np.array([_moment_start(arr, k)])
     x = float(_newton(score_at.iid_line, start, max_iter).x[0])
@@ -498,8 +503,8 @@ def _bootstrap(
     """bootstrap_se's standard errors, and how many refits it dropped."""
     if family not in _FITTERS:
         raise ValueError(f"unknown model family {family!r}; use 'iid' or 'markov'")
-    if b < 2:
-        raise ValueError(f"bootstrap needs b >= 2 replicates, got {b}")
+    b = _check_integer("replicates b", b, least=2)
+    k = _check_integer("run length k", k)
     arr = _as_sample(sample, k)
     fitter = _FITTERS[family]
     rng = stream.generator()

@@ -30,6 +30,19 @@ def _check_open_unit(name: str, value: float) -> float:
     return value
 
 
+def _check_integer(name: str, value, least: int = 1) -> int:
+    """`value` as a Python int, if it is an integer of any type, numpy's
+    included, and at least `least`.
+
+    A bool, a float (even 2.0) and anything else is refused, so no caller
+    ever truncates an argument or reads True as 1.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IID:
     """Independent Bernoulli trials with success probability p."""
@@ -92,32 +105,32 @@ class Pmf:
     whatever mass lies beyond the last tabulated value (zero for statistics
     with bounded support).  Entries within -1e-12 of zero are clamped to 0;
     anything more negative is a genuine defect and fails construction, as
-    does a total that strays from 1 by more than 1e-9.
+    do a NaN entry or tail and a total that strays from 1 by more than 1e-9.
     """
 
     __slots__ = ("offset", "probs", "tail")
 
     def __init__(self, offset: int, probs, tail: float = 0.0):
-        self.offset = int(offset)
+        self.offset = _check_integer("offset", offset, least=0)
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("probs must be one-dimensional")
         worst = arr.min() if arr.size else 1.0
         if not worst > 0.0:  # a zero (perhaps -0.0), negative or NaN entry
-            if not worst >= -1e-12:  # a NaN minimum can hide a negative entry
-                bad = arr < -1e-12
-                if bad.any():
-                    worst = float(arr[bad].min())
-                    raise ValueError(
-                        f"pmf entry {worst} below -1e-12; refusing to clamp"
-                    )
+            if np.isnan(worst):  # the minimum is NaN if any entry is
+                raise ValueError("pmf entry nan is not a probability")
+            if worst < -1e-12:
+                raise ValueError(
+                    f"pmf entry {float(worst)} below -1e-12; refusing to clamp"
+                )
             np.clip(arr, 0.0, None, out=arr)
         self.probs = arr
-        if tail < -1e-12:
-            raise ValueError(f"tail mass {tail} below -1e-12")
-        self.tail = max(0.0, float(tail))
+        tail = float(tail)
+        if not tail >= -1e-12:  # a NaN fails it too
+            raise ValueError(f"tail mass {tail} is below -1e-12 or NaN")
+        self.tail = max(0.0, tail)
         total = float(self.probs.sum()) + self.tail
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
 
     def p(self, value: int) -> float:

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .geometric import MAX_HORIZON, default_vmax, horizon_error, vk_pmf
-from .models import ConsistencyError, IID, Markov, Pmf, TrialModel
+from .models import ConsistencyError, IID, Markov, Pmf, TrialModel, _check_integer
 from .run_counts import count_runs, first_occurrence_index
 from .rth_waiting import Scheme
 
@@ -31,17 +31,13 @@ _CHUNK_ROWS = 1 << 20
 
 @dataclass(frozen=True)
 class SeededStream:
-    """A reproducible randomness source: fixed seed, named bit generator."""
+    """A reproducible randomness source: a fixed seed for the PCG64 bit
+    generator."""
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(
-                f"unsupported bit generator {self.algorithm!r}; only 'pcg64' "
-                "is reproducible across the suite"
-            )
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, least=0))
 
     def generator(self) -> np.random.Generator:
         """A fresh generator; two calls yield identical streams."""
@@ -54,6 +50,9 @@ class FirstRunWait:
 
     k: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("run length k", self.k))
+
 
 @dataclass(frozen=True)
 class RthRunWait:
@@ -64,6 +63,8 @@ class RthRunWait:
     scheme: Scheme
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("run length k", self.k))
+        object.__setattr__(self, "r", _check_integer("occurrence index r", self.r))
         object.__setattr__(self, "scheme", Scheme.from_label(self.scheme))
 
 
@@ -75,6 +76,7 @@ class RunCount:
     scheme: Scheme
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("run length k", self.k))
         object.__setattr__(self, "scheme", Scheme.from_label(self.scheme))
 
 
@@ -97,14 +99,6 @@ def _stat_fields(stat: Statistic) -> tuple[int, int | None, Scheme]:
     if isinstance(stat, LongestRun):
         return 1, None, Scheme.NON_OVERLAPPING
     raise TypeError(f"unknown statistic {stat!r}")
-
-
-def _validate_stat(stat: Statistic) -> None:
-    k, r, _ = _stat_fields(stat)
-    if not isinstance(stat, LongestRun) and k < 1:
-        raise ValueError(f"run length k must be >= 1, got {k}")
-    if r is not None and r < 1:
-        raise ValueError(f"occurrence index r must be >= 1, got {r}")
 
 
 class _Automaton:
@@ -245,12 +239,12 @@ def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
     ConsistencyError
         If the accumulated mass misses 1 by more than 1e-12.
     """
-    if not 1 <= n <= MAX_ENUM_TRIALS:
+    n = _check_integer("horizon n", n)
+    if n > MAX_ENUM_TRIALS:
         raise ValueError(
             f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_TRIALS}, "
             f"got n={n}; use simulate() for longer horizons"
         )
-    _validate_stat(stat)
     automaton = _Automaton(stat)
     free = min(n, _CHUNK_ROWS.bit_length() - 1)  # at most _CHUNK_ROWS per chunk
     price, first_row, step = _sequence_prices(model, n)
@@ -293,9 +287,9 @@ def enumerate_reference(model: TrialModel, n: int, stat: Statistic) -> Pmf:
     counters in ``run_counts``; intended only to validate the vectorized
     engine, so the horizon is capped at 16 trials.
     """
-    if not 1 <= n <= 16:
+    n = _check_integer("horizon n", n)
+    if n > 16:
         raise ValueError(f"reference enumeration supports 1 <= n <= 16, got {n}")
-    _validate_stat(stat)
     acc = np.zeros(n + 1)
     tail = 0.0
     for bits in product((0, 1), repeat=n):
@@ -345,11 +339,8 @@ def simulate(
     Identical (model, n, stat, reps, stream) inputs reproduce the array
     exactly.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if n < 1:
-        raise ValueError(f"horizon n must be >= 1, got {n}")
-    _validate_stat(stat)
+    n = _check_integer("horizon n", n)
+    reps = _check_integer("reps", reps)
     rng = stream.generator()
     bits = _draw_sequences(model, n, reps, rng)
     automaton = _Automaton(stat)
@@ -372,8 +363,7 @@ def sample_waiting_times(
     waiting times.  Raises ValueError if that needs a horizon beyond
     MAX_HORIZON.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _check_integer("reps", reps)
     rng = stream.generator()
     u = rng.random(reps)
     vmax = default_vmax(model, k)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from .models import _check_integer
+
 
 def _trim(coeffs: Iterable[float]) -> tuple[float, ...]:
     """Drop trailing coefficients that are exactly 0.0 (never near-zeros)."""
@@ -37,8 +39,7 @@ class Poly:
     @classmethod
     def term(cls, coeff: float, power: int) -> "Poly":
         """coeff * z**power as a Poly."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        power = _check_integer("power", power, least=0)
         return cls((0.0,) * power + (float(coeff),))
 
     @property
@@ -140,8 +141,7 @@ class RationalGF:
         return RationalGF(self.num * other.num, self.den * other.den)
 
     def __pow__(self, e: int) -> "RationalGF":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        e = _check_integer("exponent", e, least=0)
         result = RationalGF.one()
         base = self
         while e:
@@ -159,8 +159,7 @@ class RationalGF:
         ascending bit order, so self**e is self**(e - 2**t) times the square
         at e's top bit t, bit for bit; each power here is that one product.
         """
-        if not isinstance(emax, int) or emax < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        emax = _check_integer("exponent emax", emax, least=0)
         squares = [self]
         while (1 << len(squares)) <= emax:
             squares.append(squares[-1] * squares[-1])
@@ -180,8 +179,7 @@ class RationalGF:
         c_n = num_n - sum_{j>=1} den_j * c_{n-j}, which is what gets run here;
         cost is O(nmax * deg(den)).
         """
-        if nmax < 0:
-            raise ValueError("nmax must be nonnegative")
+        nmax = _check_integer("horizon nmax", nmax, least=0)
         num, den = self.num.coeffs, self.den.coeffs
         c = [0.0] * (nmax + 1)
         for n in range(nmax + 1):

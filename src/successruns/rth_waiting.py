@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .geometric import markov_vk_pgf
-from .models import ConsistencyError, Pmf, TrialModel
+from .models import ConsistencyError, Pmf, TrialModel, _check_integer
 from .polyseries import Moments, Poly, RationalGF
 
 
@@ -82,13 +82,6 @@ def occurrence_factors(
     return h, step + fail_restart
 
 
-def _validate_query(k: int, r: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"run length k must be a positive integer, got {k}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"occurrence index r must be a positive integer, got {r}")
-
-
 def _check_mass(
     h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme
 ) -> None:
@@ -108,16 +101,6 @@ def _check_mass(
             )
 
 
-def _checked_factors(
-    model: TrialModel, k: int, r: int, scheme: Scheme
-) -> tuple[RationalGF, RationalGF]:
-    """The H and A factors, after checking that each has unit mass at z = 1."""
-    _validate_query(k, r)
-    h, a = occurrence_factors(model, k, scheme)
-    _check_mass(h, a, k, r, scheme)
-    return h, a
-
-
 def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
     """Rational pgf of the trial index of the r-th counted run.
 
@@ -128,7 +111,10 @@ def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
     expanded r-th power at z = 1 suffers den(1)**(r-1) cancellation and
     would drown the signal in float noise for large r.
     """
-    h, a = _checked_factors(model, k, r, scheme)
+    k = _check_integer("run length k", k)
+    r = _check_integer("occurrence index r", r)
+    h, a = occurrence_factors(model, k, scheme)
+    _check_mass(h, a, k, r, scheme)
     return h * a ** (r - 1)
 
 
@@ -139,19 +125,13 @@ def _lowest_degree(p: Poly) -> int:
     return 0
 
 
-def min_support(model: TrialModel, k: int, r: int, scheme: Scheme) -> int:
+def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
     """Smallest trial index with positive probability, read off structurally.
 
     Computed from the lowest nonzero numerator degrees of the H and A
     factors (products cannot cancel at the lowest degree), not from any
     precomputed formula.
     """
-    _validate_query(k, r)
-    h, a = occurrence_factors(model, k, scheme)
-    return _support_start(h, a, r)
-
-
-def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
     return _lowest_degree(h.num) + (r - 1) * _lowest_degree(a.num)
 
 
@@ -196,7 +176,9 @@ def trk_pmf(
     float64 at long horizons: at IID(1/2), k = 2, trk_pmf(..., 8, "II", 150)
     is 2e-6 off the exact law in its worst entry.
     """
-    _validate_query(k, r)
+    k = _check_integer("run length k", k)
+    r = _check_integer("occurrence index r", r)
+    nmax = _check_integer("horizon nmax", nmax, least=0)
     h, a = occurrence_factors(model, k, scheme)
     offset = _support_start(h, a, r)
     if offset > nmax:
@@ -209,9 +191,11 @@ def trk_pmf(
 def trk_tail(
     model: TrialModel, k: int, r: int, scheme: Scheme, nmax: int
 ) -> np.ndarray:
-    """Survival probabilities P(T > n) for n = 0..nmax."""
-    coeffs = trk_pgf(model, k, r, scheme).series(nmax)
-    return 1.0 - np.cumsum(coeffs)
+    """Survival probabilities P(T > n) for n = 0..nmax, from trk_pmf's law."""
+    pm = trk_pmf(model, k, r, scheme, nmax)
+    probs = np.zeros(nmax + 1)
+    probs[pm.offset :] = pm.probs
+    return 1.0 - np.cumsum(probs)
 
 
 class RunMoments(NamedTuple):
@@ -226,7 +210,10 @@ def trk_moments(model: TrialModel, k: int, r: int, scheme: Scheme) -> RunMoments
     differentiating the expanded pgf H * A**(r-1) at z = 1 instead divides
     by den(1)**(r-1), which underflows for large r.
     """
-    h, a = _checked_factors(model, k, r, scheme)
+    k = _check_integer("run length k", k)
+    r = _check_integer("occurrence index r", r)
+    h, a = occurrence_factors(model, k, scheme)
+    _check_mass(h, a, k, r, scheme)
     return _compose_moments(h.moments_at_one(), a.moments_at_one(), r)
 
 

@@ -16,23 +16,23 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import Pmf, TrialModel
+from .models import Pmf, TrialModel, _check_integer
 from .polyseries import RationalGF
 from .rth_waiting import RunMoments, Scheme, _rth_rows, occurrence_factors
 
 
 def _as_bits(bits) -> list[int]:
+    """A 0/1 sequence as a list of ints: a string of 0s and 1s, or integers
+    (numpy's too) each exactly 0 or 1; a bool, float or other entry is
+    refused, never truncated."""
     if isinstance(bits, str):
         try:
             return [{"0": 0, "1": 1}[ch] for ch in bits.strip()]
         except KeyError:
             raise ValueError(f"bit string may only contain 0 and 1: {bits!r}")
-    out = []
-    for b in bits:
-        ib = int(b)
-        if ib not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        out.append(ib)
+    out = [_check_integer("bit", b, least=0) for b in bits]
+    if any(b > 1 for b in out):
+        raise ValueError(f"bits must be 0 or 1, got {max(out)}")
     return out
 
 
@@ -43,8 +43,7 @@ def occurrence_indices(bits, k: int, scheme: Scheme) -> Iterator[int]:
     maximal block once, when it first reaches length k; scheme III counts
     every trial whose streak is at least k.
     """
-    if k < 1:
-        raise ValueError(f"run length k must be >= 1, got {k}")
+    k = _check_integer("run length k", k)
     scheme = Scheme.from_label(scheme)
     streak = 0
     for i, b in enumerate(_as_bits(bits), start=1):
@@ -68,8 +67,7 @@ def count_runs(bits, k: int, scheme: Scheme) -> int:
 
 def first_occurrence_index(bits, k: int, r: int, scheme: Scheme) -> int | None:
     """1-based trial index at which the r-th run completes, or None."""
-    if r < 1:
-        raise ValueError(f"occurrence index r must be >= 1, got {r}")
+    r = _check_integer("occurrence index r", r)
     for count, idx in enumerate(occurrence_indices(bits, k, scheme), start=1):
         if count == r:
             return idx
@@ -85,8 +83,8 @@ def max_count(n: int, k: int, scheme: Scheme) -> int:
     one block per k + 1 trials with the last failure left off, so
     (n + 1) // (k + 1).
     """
-    if k < 1:
-        raise ValueError(f"run length k must be >= 1, got {k}")
+    n = _check_integer("horizon n", n, least=0)
+    k = _check_integer("run length k", k)
     scheme = Scheme.from_label(scheme)
     if scheme is Scheme.NON_OVERLAPPING:
         count = n // k
@@ -105,10 +103,10 @@ def _prefix_mass(raw: np.ndarray, probs: np.ndarray, m: int) -> float:
     """
     mass = float(probs[:m].sum())
     tail = 1.0 - (float(raw[:m].sum()) if raw is not probs else mass)
-    if tail < -1e-12:
-        raise ValueError(f"tail mass {tail} below -1e-12")
+    if not tail >= -1e-12:
+        raise ValueError(f"tail mass {tail} is below -1e-12 or NaN")
     total = mass + max(0.0, tail)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
     return mass
 
@@ -154,8 +152,8 @@ def counts_pmf(model: TrialModel, n: int, k: int, scheme: Scheme) -> Pmf:
     P(N_n = x) = P(T_x <= n) - P(T_{x+1} <= n), with T_x the x-th occurrence
     time; the support is 0..max_count(n, k, scheme) and the tail is zero.
     """
-    if n < 0:
-        raise ValueError(f"horizon n must be >= 0, got {n}")
+    n = _check_integer("horizon n", n, least=0)
+    k = _check_integer("run length k", k)
     h, a = occurrence_factors(model, k, scheme)
     return _count_laws(h, a, k, scheme, range(n, n + 1))[0]
 

@@ -220,27 +220,28 @@ def test_an_error_in_an_entry_reaches_the_caller(group):
         measure(group)
 
 
-@pytest.mark.parametrize("module", [checks_iid, checks_markov])
-def test_a_nan_row_in_a_waiting_time_table_never_reads_as_agreement(
-    module, group, monkeypatch
-):
-    # row r = 4 of every waiting-time table is NaN: an entry that reads the
-    # row must raise, never keep a finite worst gap over the other rows.  An
-    # entry whose deviation moves when the row is set to 0.5 reads it.
-    fill = [None]
+def _bodies_that_read_a_poisoned_entry(module, group, monkeypatch, name, poison):
+    """Run every body of `module` alone with one entry of the truth table
+    `name` clean, set to 0.5 and set to NaN; the ids of the bodies that
+    raised on the NaN.
 
-    def table(model, k, scheme, rmax, nmax):
-        rows = trk_rows(model, k, scheme, rmax, nmax).copy()
-        if fill[0] is not None:
-            rows[4] = fill[0]
-        return rows
+    ``poison(value, fill)`` returns the table's value with its entry set to
+    fill, leaving the cached value untouched.  A body that reads the entry
+    must raise, never keep a finite worst gap over the other entries; one
+    whose deviation does not move when the entry is 0.5 does not read it.
+    """
+    real, fill = getattr(checks, name), [None]
 
-    def alone(rec, row4):
-        fill[0] = row4
+    def table(*args):
+        value = real(*args)
+        return value if fill[0] is None else poison(value, fill[0])
+
+    def alone(rec, value):
+        fill[0] = value
         monkeypatch.setitem(checks._GROUPS, group, [rec])
         return measure(group)[0].max_deviation
 
-    monkeypatch.setattr(module, "trk_rows", table)
+    monkeypatch.setattr(module, name, table)
     raised = []
     for records in list(checks._GROUPS.values()):
         for rec in records:
@@ -254,9 +255,59 @@ def test_a_nan_row_in_a_waiting_time_table_never_reads_as_agreement(
                 raised.append(rec.formula_id)
                 continue
             assert poisoned == moved == clean, rec.formula_id
+    return raised
+
+
+def _set_entry(value, fill, *at):
+    """A copy of an array, or of a tuple of arrays, with value[at] = fill."""
+    if isinstance(value, tuple):
+        rows = list(value)
+        rows[at[0]] = _set_entry(rows[at[0]], fill, *at[1:])
+        return tuple(rows)
+    value = value.copy()
+    value[at] = fill
+    return value
+
+
+@pytest.mark.parametrize("module", [checks_iid, checks_markov])
+def test_a_nan_row_in_a_waiting_time_table_never_reads_as_agreement(
+    module, group, monkeypatch
+):
+    # row r = 4 of every waiting-time table is NaN
+    def row4(rows, fill):
+        return _set_entry(rows, fill, 4)
+
+    raised = _bodies_that_read_a_poisoned_entry(
+        module, group, monkeypatch, "trk_rows", row4
+    )
     assert raised
     if module is checks_markov:
         assert {"markov-trk2-step-ratio", "markov-trk3-step-ratio"} <= set(raised)
+
+
+#: One entry of each other truth table the catalog reads: (table, index).
+POISONED_ENTRIES = {
+    "vk_row": (6,),
+    "longest_rows": (10, 3),  # P(L_10 = 3)
+    "counts_wpolys": (10, 1),  # P(N_10 = 1)
+    "counts_mean_row": (10,),
+    "counts_second_row": (10,),
+    "trk_tail_rows": (2, 12),  # P(T_2 > 12)
+}
+
+
+@pytest.mark.parametrize("module", [checks_iid, checks_markov])
+@pytest.mark.parametrize("name", POISONED_ENTRIES)
+def test_a_nan_entry_in_any_truth_table_never_reads_as_agreement(
+    name, module, group, monkeypatch
+):
+    def poison(value, fill):
+        return _set_entry(value, fill, *POISONED_ENTRIES[name])
+
+    raised = _bodies_that_read_a_poisoned_entry(
+        module, group, monkeypatch, name, poison
+    )
+    assert raised
 
 
 def test_a_cold_catalog_builds_each_factor_pair_once(monkeypatch):

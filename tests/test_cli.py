@@ -461,3 +461,53 @@ def test_a_non_finite_pmf_entry_fails_in_one_line(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "non-finite number nan" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_non_finite_number_fails_in_one_line_in_either_encoding(
+    capsys, monkeypatch, fmt
+):
+    # both encodings format scalars through one formatter, which refuses
+    # NaN and infinity; csv printed "nan" and exited 0 before
+    def poisoned(model, k, vmax=None):
+        pm = vk_pmf(model, k, vmax=vmax)
+        pm.probs[3] = np.nan
+        return pm
+
+    moments = cli.trk_moments
+
+    def no_mean(*args):
+        return moments(*args)._replace(mean=np.inf)
+
+    monkeypatch.setattr(cli, "vk_pmf", poisoned)
+    monkeypatch.setattr(cli, "trk_moments", no_mean)
+    for argv, bad in (
+        (["pmf", "--iid", "0.5", "--stat", "vk", "--k", "2", "--vmax", "10"], "nan"),
+        (["moments", "--iid", "0.5", "--stat", "vk", "--k", "2"], "inf"),
+    ):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"Error: non-finite number {bad} in an output record\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "0"],
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "2.5"],
+        ["pmf", "--iid", "0.5", "--stat", "longest", "--n", "-1"],
+        ["pmf", "--iid", "0.5", "--stat", "trk", "--k", "2", "--r", "0"],
+        ["pmf", "--iid", "0.5", "--stat", "vk", "--k", "2", "--vmax", "-1"],
+        ["moments", "--iid", "0.5", "--stat", "counts", "--k", "2", "--n", "0"],
+        ["check", "--n", "30"],
+        ["check", "--k", "0"],
+        ["fit", "--k", "0", "--simulate-iid", "0.5", "--reps", "10", "--seed", "1"],
+        ["fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "0", "--seed", "1"],
+        ["fib", "--k", "3", "--n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_a_bad_integer_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Invalid value for '--" in err and "Traceback" not in err

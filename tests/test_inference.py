@@ -427,7 +427,7 @@ def test_a_sample_of_shortest_waits_has_no_maximum(fitter, k, sample):
 @pytest.mark.parametrize("max_iter", [0, -4])
 def test_fits_refuse_fewer_than_one_iteration(fitter, max_iter, fair_sample):
     # without a step, the start came back as an unconverged fit
-    message = rf"max_iter must be at least 1, got {max_iter}"
+    message = rf"max_iter must be an integer >= 1, got {max_iter}"
     with pytest.raises(ValueError, match=message):
         fitter(fair_sample[:50], 2, max_iter=max_iter)
 

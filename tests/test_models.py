@@ -136,3 +136,14 @@ def test_pmf_copies_its_input():
     pm = Pmf(0, src)
     src[0] = 0.0
     assert pm.probs[0] == 0.5
+
+
+def test_pmf_refuses_a_nan_entry_or_tail():
+    # a NaN total compared false against the 1e-9 bound, and max(0.0, nan)
+    # kept the 0.0, so both constructed before
+    with pytest.raises(ValueError, match="pmf entry nan"):
+        Pmf(0, [float("nan"), 1.0])
+    with pytest.raises(ValueError, match="tail mass nan"):
+        Pmf(0, [0.5, 0.5], tail=float("nan"))
+    with pytest.raises(ValueError, match="pmf total inf"):
+        Pmf(0, [float("inf"), 0.5])

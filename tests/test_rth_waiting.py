@@ -12,7 +12,6 @@ from successruns.polyseries import Poly, RationalGF
 from successruns.rth_waiting import (
     Scheme,
     _check_mass,
-    min_support,
     occurrence_factors,
     trk_moments,
     trk_pgf,
@@ -46,20 +45,20 @@ def test_first_run_is_scheme_free(model, scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("k,r", [(1, 2), (2, 2), (2, 3), (3, 2)])
 def test_pmf_starts_at_min_support(model, scheme, k, r):
+    # the table starts at the smallest index the factors allow, and that
+    # index carries mass
     pm = trk_pmf(model, k, r, scheme, 60)
-    lo = min_support(model, k, r, scheme)
-    assert pm.p(lo) > 0.0
-    for v in range(max(0, lo - 3), lo):
-        assert pm.p(v) == 0.0
+    assert pm.probs[0] > 0.0
+    assert pm.offset == trk_pmf(model, k, r, scheme, 0).offset
 
 
 def test_min_support_by_scheme():
     # r runs of length k need: rk trials packed solid; (r-1) separators for
     # the at-least rule; k + r - 1 trials when overlaps count
     m = IID(0.5)
-    assert min_support(m, 3, 4, Scheme.NON_OVERLAPPING) == 12
-    assert min_support(m, 3, 4, Scheme.AT_LEAST) == 15
-    assert min_support(m, 3, 4, Scheme.OVERLAPPING) == 6
+    assert trk_pmf(m, 3, 4, Scheme.NON_OVERLAPPING, 20).offset == 12
+    assert trk_pmf(m, 3, 4, Scheme.AT_LEAST, 20).offset == 15
+    assert trk_pmf(m, 3, 4, Scheme.OVERLAPPING, 20).offset == 6
 
 
 @pytest.mark.parametrize("model", MODELS)
