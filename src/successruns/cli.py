@@ -375,7 +375,7 @@ def _read_sample(path: str) -> list[int]:
 @click.option("--reps", type=_POSITIVE, default=None, help="Sample size to draw.")
 @click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     help="Randomness seed; required for simulation and bootstrap "
     "(the bootstrap stream uses seed+1).",

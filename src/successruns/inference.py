@@ -10,9 +10,15 @@ kernel; the log-likelihood's value, score and Hessian then come from one
 gather and a few sums.  IID(p) is the chain at (logit alpha, logit beta) =
 (x, -x), x = logit p, seeded with h_1 = p and h_2 = q p, so an IID fit steps
 along that line on the same jets, with score g . (1, -1) and second
-derivative (1, -1)' H (1, -1).  A small
-hand-rolled Nelder-Mead stays as the derivative-free reference optimizer
-that the tests hold the Newton fits against.
+derivative (1, -1)' H (1, -1).  Where the maximum lies on an edge of
+(0, 1), most often beta -> 0, the likelihood is close to linear in the
+probability there, and logit steps only creep out toward it; the Newton
+step read in probability coordinates crosses the edge instead, and one
+bound-constrained step pins the coordinate next to it, kept only at a
+point that gains and satisfies the bound's KKT conditions (a projected
+Newton step, as in Bertsekas, SIAM J. Control Optim. 20(2), 1982).  A
+small hand-rolled Nelder-Mead stays as the derivative-free reference
+optimizer that the tests hold the Newton fits against.
 
 Uncertainty comes from a nonparametric bootstrap: resample the waiting
 times, refit, and report the spread of the refitted estimates.
@@ -208,8 +214,14 @@ class _SampleScore:
         return value, sums[:2] + self._n * grad, hessian
 
     def iid_line(self, x: np.ndarray):
-        """The same along IID(p), the chain at (x[0], -x[0]), x[0] = logit p."""
-        value, score, hessian = self(x[0] * _IID_LINE)
+        """The same along IID(p), the chain at (x[0], -x[0]), x[0] = logit p.
+
+        Keeps the chain's own (value, score, Hessian) at the last point, in
+        `on_line`, for a chain fit that starts there.
+        """
+        chain = self(x[0] * _IID_LINE)
+        self.on_line = float(x[0]), chain
+        value, score, hessian = chain
         if score is None:
             return value, None, None
         (xx, xy), (_, yy) = hessian.tolist()
@@ -302,11 +314,6 @@ _MAX_STEP = 2.0
 #: place, which no step can be seen to gain.
 _GAIN_TOL = 1e-13
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
-#: A full step that beat its quadratic model is doubled only while the
-#: gain predicted at the trial stays at least this share of the step's own.
-_DOUBLING_RATIO = 0.25
-
-
 def _ascent(score: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
     """The Newton step for a maximum and the gain the quadratic model
     predicts for it, g' A^-1 g / 2.
@@ -314,13 +321,18 @@ def _ascent(score: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
     A is -H with each eigenvalue replaced by its magnitude, floored at
     1e-12 of the largest (or of 1, if that is smaller), so it is positive
     definite and the step goes uphill even where H is not negative
-    definite.  The eigenvectors of a symmetric 2 x 2 matrix come from the
-    rotation angle that diagonalizes it, the larger eigenvalue magnitude
-    from its trace and the smaller from its determinant (1 x 1: the entry
-    itself).
+    definite.
     """
-    g = score.tolist()
-    a = (-hessian).tolist()
+    step, gain = _eigen_ascent(score.tolist(), (-hessian).tolist())
+    return np.array(step), gain
+
+
+def _eigen_ascent(g: list[float], a: list[list[float]]) -> tuple[list[float], float]:
+    """_ascent on lists, with a = -H.  The eigenvectors of a symmetric
+    2 x 2 matrix come from the rotation angle that diagonalizes it, the
+    larger eigenvalue magnitude from its trace and the smaller from its
+    determinant (1 x 1: the entry itself).
+    """
     if len(g) == 1:
         pairs = [(a[0][0], (1.0,))]
     else:
@@ -335,50 +347,150 @@ def _ascent(score: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
             upper = (p * s - r * r) / lower
         pairs = [(upper, (c, t)), (lower, (-t, c))]
     floor = 1e-12 * max(max(abs(value) for value, _ in pairs), 1.0)
-    step = np.zeros(len(g))
+    step = [0.0] * len(g)
     gain = 0.0
     for value, vector in pairs:
         along = sum(v * gi for v, gi in zip(vector, g))
         scaled = along / max(abs(value), floor)
-        step += scaled * np.array(vector)
+        step = [si + scaled * v for si, v in zip(step, vector)]
         gain += 0.5 * along * scaled
     return step, gain
 
 
-def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
-    """Maximize a log-likelihood by damped Newton steps from x0.
+def _edge_step(score_at, x, f, g, h, last, tolerance, closed):
+    """A step onto the edges of (0, 1) that the Newton step in probability
+    coordinates crosses, as (point, its score_at); None when no coordinate
+    heads to an edge or the point is refused.
+
+    Every coordinate of x is a logit, so with p = expit(x) and s = p(1-p)
+    the chain rule gives dL/dp = g/s and d2L/dp2 = (H - diag(g(1-2p)))/ss'.
+    Where the likelihood is linear in p near an edge, its logit score and
+    Hessian both vanish like s, and logit Newton steps creep toward the
+    edge by about 1 each.  A coordinate heads to the edge that dL/dp points
+    at when
+      - the step that reached x moved it that way (at a chain fit's start,
+        the IID optimum, the step in p also crosses edges the fit does
+        not head for);
+      - its remaining gain, |dL/dp| times its distance d to the edge, which
+        is |g| / (1 - d), is above `tolerance`, which the stop test sees;
+      - `closed` does not hold the edge as (coordinate, side);
+      - its ascent step in p would cross the edge.
+    Each such coordinate is pinned where that gain is half `tolerance`, and
+    the free ones take their own Newton step for that change in p.  The
+    point is taken only if it is a KKT point of the bound, with dL/dp of
+    each pinned coordinate still pointing out of (0, 1) once the free ones
+    take their Newton step there, and only if it gains.  An edge where
+    dL/dp points back into (0, 1), or where the likelihood underflows,
+    holds no maximum of its coordinate, and goes into `closed`.
+
+    The arithmetic runs on Python floats: it is a handful of operations on
+    one or two coordinates, run at every Newton iteration.
+    """
+    g, dims = g.tolist(), range(len(g))
+    side = [math.copysign(1.0, v) for v in g]
+    heading = [
+        i
+        for i, step in zip(dims, last.tolist())
+        if side[i] * step > 0.0 and (i, side[i]) not in closed
+    ]
+    if not heading:
+        return None
+    x, h = x.tolist(), h.tolist()
+    p, q = [expit(v) for v in x], [expit(-v) for v in x]
+    distance = [b if v > 0.0 else a for v, a, b in zip(side, p, q)]
+    heading = [i for i in heading if abs(g[i]) > tolerance * (1.0 - distance[i])]
+    if not heading:
+        return None
+    s = [a * b for a, b in zip(p, q)]
+    try:
+        slope = [gi / si for gi, si in zip(g, s)]
+        bend = [
+            [(h[i][j] - (i == j) * g[i] * (1.0 - 2.0 * p[i])) / (s[i] * s[j])
+             for j in dims]
+            for i in dims
+        ]
+    except ZeroDivisionError:
+        return None  # a coordinate sits on its edge already
+    if not all(map(math.isfinite, slope + [v for row in bend for v in row])):
+        return None
+    move = _eigen_ascent(slope, [[-v for v in row] for row in bend])[0]
+    bound = [i for i in heading if side[i] * move[i] > distance[i]]
+    if not bound:
+        return None
+    free = [i for i in dims if i not in bound]
+
+    def free_step(score, hessian):  # the free coordinates' Newton step
+        if not free:
+            return []
+        return _eigen_ascent(
+            [score[i] for i in free], [[-hessian[i][j] for j in free] for i in free]
+        )[0]
+
+    target = list(x)
+    change = {}  # in p
+    for i in bound:
+        pinned = 0.5 * tolerance / abs(slope[i])
+        target[i] = side[i] * (math.log1p(-pinned) - math.log(pinned))
+        change[i] = side[i] * (distance[i] - pinned)
+    shifted = [g[i] + sum(h[i][j] / s[j] * change[j] for j in bound) for i in dims]
+    for i, v in zip(free, free_step(shifted, h)):
+        target[i] += v
+    target = np.array(target)
+    trial = score_at(target)
+    value, score, hessian = trial
+    if score is None:
+        inward = bound  # the likelihood underflows there
+    else:
+        g, h = score.tolist(), hessian.tolist()
+        polish = free_step(g, h)
+        inward = [
+            i
+            for i in bound
+            if side[i] * (g[i] + sum(h[i][j] * v for j, v in zip(free, polish))) <= 0.0
+        ]
+    closed.update((i, side[i]) for i in inward)
+    if inward or not value > f:
+        return None
+    return target, trial
+
+
+def _newton(score_at, x0: np.ndarray, max_iter: int, first=None) -> NMResult:
+    """Maximize a log-likelihood by damped Newton steps from x0, a point
+    in logit coordinates.
 
     `score_at(x)` returns (value, score, Hessian), with value -inf where
-    the likelihood cannot be evaluated.  Each step is capped at _MAX_STEP
-    and backtracked until it passes an Armijo test.  A full step that
-    gains at least what the quadratic model predicted, and whose trial
-    point still predicts at least _DOUBLING_RATIO of the step's own gain,
-    is doubled while it keeps gaining, which walks toward a maximum at a
-    boundary of the parameter space (a logit going to infinity) in few
-    steps; near an interior maximum the predicted gain falls quadratically,
-    below that ratio, and the trial's Newton step is the next iteration's.
-    Stops when the predicted gain falls below _GAIN_TOL or the value's
-    rounding, or when no step along the ascent direction gains at all; that
-    counts as converged if the predicted gain was under 1e-9 of the value.
-    The result carries the value with its sign flipped, as a minimizer's
+    the likelihood cannot be evaluated; `first`, when given, is its value
+    at x0.  Each step is capped at _MAX_STEP and backtracked until it
+    passes an Armijo test.  Where the maximum lies on an edge of the
+    parameter space, a logit going to infinity, _edge_step pins the
+    coordinates that head there in one step instead.  Stops when the
+    predicted gain falls below _GAIN_TOL or the value's rounding, or when
+    no step along the ascent direction gains at all; that counts as
+    converged if the predicted gain was under 1e-9 of the value.  The
+    result carries the value with its sign flipped, as a minimizer's
     would.
     """
     max_iter = _check_integer("max_iter", max_iter)
     x = np.asarray(x0, dtype=np.float64)
-    f, g, h = score_at(x)
+    f, g, h = score_at(x) if first is None else first
     if not math.isfinite(f):
         raise ValueError("the likelihood underflows at the starting point")
-    ascent = None  # the step from x, when the last iteration computed it
+    last = np.zeros_like(x)  # the step that reached x
+    closed: set[tuple[int, float]] = set()  # edges without a maximum
     for iteration in range(1, max_iter + 1):
-        step, gain = ascent if ascent is not None else _ascent(g, h)
-        ascent = None
-        if gain < max(_GAIN_TOL, _ROUNDING * abs(f)):
+        step, gain = _ascent(g, h)
+        tolerance = max(_GAIN_TOL, _ROUNDING * abs(f))
+        if gain < tolerance:
             return NMResult(x, -f, iteration, True)
+        edge = _edge_step(score_at, x, f, g, h, last, tolerance, closed)
+        if edge is not None:
+            last = edge[0] - x
+            x, (f, g, h) = edge
+            continue
         size = float(np.sqrt(step @ step))
         if size > _MAX_STEP:
             step *= _MAX_STEP / size
         slope = float(g @ step)
-        model_gain = slope - 0.5 * float(step @ (-h) @ step)
         t = 1.0
         while True:
             trial = score_at(x + t * step)
@@ -387,18 +499,8 @@ def _newton(score_at, x0: np.ndarray, max_iter: int) -> NMResult:
             t *= 0.5
             if t < 1e-10:  # no gain left above rounding
                 return NMResult(x, -f, iteration, gain < 1e-9 * max(1.0, abs(f)))
-        if t == 1.0 and trial[0] - f >= model_gain:
-            ascent = _ascent(trial[1], trial[2])
-        if ascent is not None and ascent[1] >= _DOUBLING_RATIO * gain:
-            ascent = None  # x moves past the trial
-            while True:
-                t *= 2.0
-                further = score_at(x + t * step)
-                if not further[0] > trial[0]:
-                    t *= 0.5
-                    break
-                trial = further
-        x = x + t * step
+        last = t * step
+        x = x + last
         f, g, h = trial
     return NMResult(x, -f, max_iter, False)
 
@@ -457,13 +559,16 @@ def fit_markov(sample, k: int, max_iter: int = 500) -> FitResult:
 
     Newton starts from the IID fit: IID(p) is the chain with alpha = p and
     beta = 1 - p, and every step gains, so the chain's likelihood is never
-    below the IID one.  Both fits run on one jet plan.
+    below the IID one.  Both fits run on one jet plan, and the chain's
+    Newton starts on the IID fit's last evaluation when it was at the IID
+    estimate.
     """
     arr, k = _fit_sample(sample, k)
     score_at = _SampleScore(k, arr)
     start = np.array([_moment_start(arr, k)])
     x = float(_newton(score_at.iid_line, start, max_iter).x[0])
-    res = _newton(score_at, x * _IID_LINE, max_iter)
+    at, chain = score_at.on_line
+    res = _newton(score_at, x * _IID_LINE, max_iter, chain if at == x else None)
     model = Markov.stationary_start(expit(float(res.x[0])), expit(float(res.x[1])))
     return FitResult(
         estimates={"alpha": model.alpha, "beta": model.beta, "p": model.stationary},

@@ -10,6 +10,7 @@ degenerate cases the recursions are not written for, so they are rejected.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,22 +24,31 @@ class ConsistencyError(RuntimeError):
     """
 
 
-def _check_open_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-    return value
+def _check_open_unit(name: str, value) -> float:
+    """`value` as a Python float, if it is a real number of any type,
+    numpy's included, strictly inside (0, 1).
+
+    A bool, a string, bytes, None and anything else that is not a real
+    number is refused, so no caller ever parses text or reads True as 1.
+    """
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    if not real or not 0.0 < float(value) < 1.0:
+        raise ValueError(f"{name} must be a number strictly in (0, 1), got {value!r}")
+    return float(value)
 
 
-def _check_integer(name: str, value, least: int = 1) -> int:
+def _check_integer(name: str, value, least: int | None = 1) -> int:
     """`value` as a Python int, if it is an integer of any type, numpy's
-    included, and at least `least`.
+    included, and at least `least` (any integer when `least` is None).
 
     A bool, a float (even 2.0) and anything else is refused, so no caller
     ever truncates an argument or reads True as 1.
     """
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or value < least:
+    if least is None:
+        if not integer:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif not integer or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -134,8 +144,11 @@ class Pmf:
             raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
 
     def p(self, value: int) -> float:
-        """Probability of an exact value (0.0 outside the tabulated range)."""
-        i = value - self.offset
+        """Probability of an exact value (0.0 outside the tabulated range).
+
+        The value must pass the integer rule, with no floor.
+        """
+        i = _check_integer("value", value, least=None) - self.offset
         if 0 <= i < len(self.probs):
             return float(self.probs[i])
         return 0.0

@@ -283,3 +283,23 @@ def test_numpy_run_lengths_reach_every_engine():
         trk_pmf(M, 2, 2, "II", 40).probs.tobytes()
     )
     assert loglik_vk(M, k, WAITS) == loglik_vk(M, 2, WAITS)
+
+
+# -- Pmf.p reads an integer value, with no floor
+
+PMF = vk_pmf(IID(0.5), 2, vmax=10)
+
+
+@pytest.mark.parametrize(
+    "value", [2.0, 2.5, np.float64(3.0), True, False, "2", None], ids=repr
+)
+def test_pmf_p_refuses_a_value_that_is_not_an_integer(value):
+    # 2.0 and 2.5 raised numpy's IndexError; True read as 1 gave 0.0
+    with pytest.raises(ValueError, match="value must be an integer"):
+        PMF.p(value)
+
+
+def test_pmf_p_reads_integers_of_any_type_and_zero_outside_the_table():
+    assert PMF.p(2) == PMF.p(np.int64(2)) == PMF.p(np.uint8(2)) == 0.25
+    for outside in (1, 0, -5, PMF.support_end + 1, 10**30):
+        assert PMF.p(outside) == 0.0

@@ -276,6 +276,18 @@ def test_fit_reports_dropped_bootstrap_refits(capsys, monkeypatch):
     assert payload["standard_errors"]["p"] > 0.0
 
 
+def test_a_negative_bootstrap_seed_is_a_usage_error(capsys, tmp_path):
+    # it ran before, on the bootstrap stream seed + 1 = 0
+    path = tmp_path / "waits.txt"
+    path.write_text("2\n3\n5\n4\n2\n7\n")
+    code, out, err = run(
+        capsys, "fit", "--k", "2", "--input", str(path), "--bootstrap", "4",
+        "--seed", "-1",
+    )
+    assert (code, out) == (2, "")
+    assert "Invalid value for '--seed'" in err and "Traceback" not in err
+
+
 def test_fit_simulation_requires_seed(capsys):
     code, _, err = run(
         capsys, "fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "50"
@@ -503,6 +515,7 @@ def test_a_non_finite_number_fails_in_one_line_in_either_encoding(
         ["check", "--k", "0"],
         ["fit", "--k", "0", "--simulate-iid", "0.5", "--reps", "10", "--seed", "1"],
         ["fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "0", "--seed", "1"],
+        ["fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "10", "--seed", "-1"],
         ["fib", "--k", "3", "--n", "0"],
     ],
     ids=" ".join,

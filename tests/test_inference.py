@@ -474,6 +474,17 @@ def test_ascent_steps_uphill_by_the_eigenvalue_magnitudes(score, hxx, hxy, hyy):
     assert one_gain == pytest.approx(0.5 * g[0] * one_step[0], rel=1e-12)
 
 
+def _counted_evaluations(monkeypatch):
+    evaluations = []
+    score = inference._SampleScore.__call__
+    monkeypatch.setattr(
+        inference._SampleScore,
+        "__call__",
+        lambda self, x: evaluations.append(x) or score(self, x),
+    )
+    return evaluations
+
+
 def test_newton_stops_where_rounding_hides_the_gain(monkeypatch):
     # a bootstrap resample whose IID optimum leaves a predicted gain of a
     # few 1e-13 at a loglik near -900, below one unit in its last place:
@@ -483,13 +494,7 @@ def test_newton_stops_where_rounding_hides_the_gain(monkeypatch):
     rng = SeededStream(71053).generator()
     for _ in range(3):
         sample = drawn[rng.integers(0, drawn.size, drawn.size)]
-    evaluations = []
-    score = inference._SampleScore.__call__
-    monkeypatch.setattr(
-        inference._SampleScore,
-        "__call__",
-        lambda self, x: evaluations.append(x) or score(self, x),
-    )
+    evaluations = _counted_evaluations(monkeypatch)
     fit = fit_iid(sample, 2)
     assert fit.converged and fit.iterations < 10
     assert len(evaluations) < 20
@@ -497,8 +502,8 @@ def test_newton_stops_where_rounding_hides_the_gain(monkeypatch):
 
 @pytest.mark.parametrize("alpha,beta", [(0.465, 0.373), (0.457, 0.356)])
 def test_a_maximum_on_the_boundary_is_reached_in_few_steps(alpha, beta):
-    # the chain's likelihood here grows toward beta = 0; doubling the full
-    # Newton steps walks logit beta out in about half the iterations
+    # the chain's likelihood here grows toward beta = 0, which one edge
+    # step reaches once logit steps have brought beta near it
     sample = sample_waiting_times(
         Markov.stationary_start(alpha, beta), 3, 500, SeededStream(71013)
     )
@@ -506,3 +511,52 @@ def test_a_maximum_on_the_boundary_is_reached_in_few_steps(alpha, beta):
     assert fit.converged and fit.iterations <= 30
     assert fit.estimates["beta"] < 1e-9
     assert fit.loglik >= _nm_fit(Markov, 3, sample) - 1e-12 * abs(fit.loglik)
+
+
+# the edge step: a maximum on beta -> 0 in one bound-constrained step
+
+EDGE_SAMPLES = [
+    # (alpha, beta, k, draws, seed) of a chain whose fit ends on beta -> 0;
+    # the first two are the samples of the test above
+    (0.465, 0.373, 3, 500, 71013),
+    (0.457, 0.356, 3, 500, 71013),
+    (0.45, 0.4, 2, 300, 4),
+    (0.6, 0.4, 4, 400, 2),
+    (0.65, 0.4, 5, 350, 3),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,k,draws,seed", EDGE_SAMPLES)
+def test_a_maximum_on_the_edge_takes_few_evaluations(
+    monkeypatch, alpha, beta, k, draws, seed
+):
+    # logit Newton steps crept toward beta = 0 by at most 1 each, and the
+    # first sample took 44 evaluations over 23 iterations
+    sample = sample_waiting_times(
+        Markov.stationary_start(alpha, beta), k, draws, SeededStream(seed)
+    )
+    evaluations = _counted_evaluations(monkeypatch)
+    fit = fit_markov(sample, k)
+    assert fit.converged and fit.estimates["beta"] < 1e-9
+    assert len(evaluations) <= 15
+    assert fit.loglik >= _nm_fit(Markov, k, sample) - 1e-12 * abs(fit.loglik)
+
+
+@pytest.mark.parametrize(
+    "alpha,k,draws,seed", [(0.4, 2, 500, 2), (0.45, 2, 1000, 6), (0.4, 2, 500, 53)]
+)
+def test_a_small_positive_beta_stays_inside(alpha, k, draws, seed):
+    # on these samples an edge trial gains but its beta score points back
+    # into (0, 1), so the fit must not stop on the edge
+    sample = sample_waiting_times(
+        Markov.stationary_start(alpha, 0.05), k, draws, SeededStream(seed)
+    )
+    fit = fit_markov(sample, k)
+    loglik = inference._SampleLikelihood(k, _as_sample(sample, k))
+    reference = inference.nelder_mead(
+        lambda x: -loglik(_model_at(Markov, x)), np.zeros(2), tol_f=1e-12
+    )
+    nm_beta = inference.expit(float(reference.x[1]))
+    assert fit.converged and 5e-3 < fit.estimates["beta"] < 0.1
+    assert fit.estimates["beta"] == pytest.approx(nm_beta, rel=1e-3)
+    assert fit.loglik >= -reference.fun - 1e-12 * abs(fit.loglik)

@@ -14,6 +14,32 @@ def test_iid_rejects_degenerate_probability(bad):
         IID(bad)
 
 
+NOT_REAL = ["0.5", b"0.5", None, True, False, np.True_, [0.5], 0.5j]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+def test_iid_refuses_a_probability_that_is_not_a_real_number(bad):
+    # "0.5" constructed IID(0.5) and None raised TypeError
+    with pytest.raises(ValueError, match=r"^p must be a number"):
+        IID(bad)
+
+
+@pytest.mark.parametrize("name", ["p1", "alpha", "beta"])
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+def test_markov_refuses_a_probability_that_is_not_a_real_number(name, bad):
+    args = {"p1": 0.5, "alpha": 0.4, "beta": 0.3, name: bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be a number"):
+        Markov(**args)
+
+
+@pytest.mark.parametrize(
+    "value", [0.25, np.float64(0.25), np.float32(0.25), np.float16(0.25)], ids=repr
+)
+def test_real_probabilities_of_any_type_give_the_python_float(value):
+    assert IID(value) == IID(0.25) and type(IID(value).p) is float
+    assert Markov(value, value, value) == Markov(0.25, 0.25, 0.25)
+
+
 def test_iid_complement():
     m = IID(0.3)
     assert math.isclose(m.q, 0.7, abs_tol=1e-15)
