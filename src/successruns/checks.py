@@ -49,7 +49,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .geometric import _longest_laws
-from .models import ConsistencyError, Pmf, TrialModel
+from .models import (
+    ConsistencyError,
+    Pmf,
+    TrialModel,
+    _checked_mass,
+    _clamp_rows,
+    _entry_error,
+)
 from .polyseries import Moments, Poly, RationalGF
 from .rth_waiting import (
     Scheme,
@@ -446,14 +453,20 @@ def trk_rows(
     """h[r][n] = P(T_{r,k} = n) for r = 0..rmax; row zero is the delta at 0.
 
     Row r is the law trk_pmf(model, k, r, scheme, nmax) gives, from one
-    power ladder of the inter-occurrence factor.
+    table of every r's series (:func:`_rth_rows`) under Pmf's rules: the
+    entry rule on the whole table at once, then each row's tail and total
+    checks, so the first row trk_pmf refuses fails with its error.
     """
     table = np.zeros((rmax + 1, nmax + 1))
     table[0, 0] = 1.0
     h, a = factors(model, k, scheme)
-    for r, offset, raw in _rth_rows(h, a, k, scheme, rmax, nmax):
-        pm = Pmf(offset=offset, probs=raw, tail=1.0 - float(raw.sum()))
-        table[r, offset : offset + len(pm.probs)] = pm.probs
+    offsets, raw = _rth_rows(h, a, k, scheme, rmax, nmax)
+    clamped, refused = _clamp_rows(raw, offsets)
+    for r, offset in enumerate(offsets, start=1):
+        if r - 1 == refused:
+            raise _entry_error(raw[r - 1, offset:].min())
+        _checked_mass(raw[r - 1, offset:], clamped[r - 1, offset:])
+    table[1 : len(offsets) + 1] = clamped
     return table
 
 

@@ -127,21 +127,11 @@ class Pmf:
             raise ValueError("probs must be one-dimensional")
         worst = arr.min() if arr.size else 1.0
         if not worst > 0.0:  # a zero (perhaps -0.0), negative or NaN entry
-            if np.isnan(worst):  # the minimum is NaN if any entry is
-                raise ValueError("pmf entry nan is not a probability")
-            if worst < -1e-12:
-                raise ValueError(
-                    f"pmf entry {float(worst)} below -1e-12; refusing to clamp"
-                )
+            if not worst >= -1e-12:  # the minimum is NaN if any entry is
+                raise _entry_error(worst)
             np.clip(arr, 0.0, None, out=arr)
         self.probs = arr
-        tail = float(tail)
-        if not tail >= -1e-12:  # a NaN fails it too
-            raise ValueError(f"tail mass {tail} is below -1e-12 or NaN")
-        self.tail = max(0.0, tail)
-        total = float(self.probs.sum()) + self.tail
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
+        self.tail = _checked_tail(float(arr.sum()), float(tail))
 
     def p(self, value: int) -> float:
         """Probability of an exact value (0.0 outside the tabulated range).
@@ -173,6 +163,55 @@ class Pmf:
             f"Pmf(offset={self.offset}, len={len(self.probs)}, "
             f"tail={self.tail:.3e})"
         )
+
+
+def _entry_error(worst) -> ValueError:
+    """The error for a table whose smallest entry is worst, NaN or below
+    -1e-12."""
+    if np.isnan(worst):
+        return ValueError("pmf entry nan is not a probability")
+    return ValueError(f"pmf entry {float(worst)} below -1e-12; refusing to clamp")
+
+
+def _checked_tail(mass: float, tail: float) -> float:
+    """max(0, tail), once tail is at least -1e-12 and mass + max(0, tail)
+    is within 1e-9 of 1, as Pmf requires of its tail and total."""
+    if not tail >= -1e-12:  # a NaN fails it too
+        raise ValueError(f"tail mass {tail} is below -1e-12 or NaN")
+    tail = max(0.0, tail)
+    total = mass + tail
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"pmf total {total!r} is not 1 within 1e-9")
+    return tail
+
+
+def _checked_mass(raw: np.ndarray, probs: np.ndarray) -> float:
+    """Sum of probs after the tail and total checks of
+    Pmf(offset, raw, tail=1 - raw's sum), whose probs they are.
+
+    A caller whose raw needed no clamp may pass probs itself as raw, and
+    the one sum serves both.
+    """
+    mass = float(probs.sum())
+    _checked_tail(mass, 1.0 - (float(raw.sum()) if raw is not probs else mass))
+    return mass
+
+
+def _clamp_rows(table: np.ndarray, offsets) -> tuple[np.ndarray, int]:
+    """Pmf's entry rule on every row of a table at once.
+
+    Row i's entries are table[i, offsets[i]:].  Returns a copy of the table,
+    zero before each offset and with entries in [-1e-12, 0) clamped to 0,
+    and the index of the first row that Pmf refuses for a NaN entry or one
+    below -1e-12 (the number of rows if none is); :func:`_entry_error` of
+    that row's minimum is the error Pmf raises for it.  The tail and total
+    checks are each row's own (:func:`_checked_mass`).
+    """
+    inside = np.arange(table.shape[1]) >= np.asarray(offsets)[:, None]
+    probs = np.where(inside, table, 0.0)
+    refused = ~(probs.min(axis=1, initial=0.0) >= -1e-12)  # NaN fails it too
+    np.clip(probs, 0.0, None, out=probs)
+    return probs, int(refused.argmax()) if refused.any() else len(table)
 
 
 def tv_distance(a: Pmf, b: Pmf) -> float:

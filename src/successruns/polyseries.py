@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .models import _check_integer
 
 
@@ -212,3 +214,84 @@ class RationalGF:
             npp1 * d1**2 - n1 * dpp1 * d1 - 2.0 * np1 * dp1 * d1 + 2.0 * n1 * dp1**2
         ) / d1**3
         return Moments(mass=mass, mean=mean, second_factorial=second)
+
+
+def _cut(f: RationalGF, width: int) -> np.ndarray:
+    """Numerator and denominator of f, cut or zero-padded to width, as a
+    (width, 2, 1) array: coefficient index first, as in :func:`_mul_cut`."""
+    out = np.zeros((width, 2, 1))
+    for row, coeffs in enumerate((f.num.coeffs, f.den.coeffs)):
+        used = min(width, len(coeffs))
+        out[:used, row, 0] = coeffs[:used]
+    return out
+
+
+def _mul_cut(
+    left: np.ndarray, right: np.ndarray, lengths: tuple[int, int]
+) -> np.ndarray:
+    """Products of left's polynomials with right's, cut to their width.
+
+    Both are (width, 2, rows) arrays, coefficient index first, with
+    numerators and denominators side by side, and one of them may have a
+    single row, which every row of the other multiplies; their coefficients
+    past lengths[0] and lengths[1] are zero.  Coefficient m sums
+    left_i * right_(m-i) over ascending i from +0.0, the order
+    :meth:`Poly.__mul__` adds them in.  A term with a zero factor is a
+    signed zero, and adding it or leaving it out changes no sum.  The
+    working set is one block the size of the output per left coefficient.
+    """
+    width = left.shape[0]
+    out = np.zeros((width, 2, max(left.shape[2], right.shape[2])))
+    for i in range(min(lengths[0], width)):
+        used = min(lengths[1], width - i)
+        tail = out[i : i + used]
+        tail += left[i] * right[:used]
+    return out
+
+
+def ladder_series(h: RationalGF, a: RationalGF, emax: int, nmax: int) -> np.ndarray:
+    """Row e of the (emax + 1, nmax + 1) result is (h * a**e).series(nmax),
+    bit for bit, for e = 0..emax.
+
+    Coefficients past nmax never reach one at or below it, so every power
+    and product is cut to nmax + 1 coefficients.  The powers pair as
+    :meth:`RationalGF.powers` pairs them, a**e = a**(e - 2**t) * a**(2**t)
+    with t the top bit of e, so all e with one top bit are one batched
+    product: a**0..a**(2**t) times a**(2**t), whose last row is the square
+    a**(2**(t+1)) for the next bit.  Taking a**(2**t) from its row changes
+    no bit: that row is 1 * a**(2**t), and a product never holds a -0.0.
+    h times every power is one more batched product, and the series
+    recurrence runs once for all rows: c_n = num_n - den_1 * c_(n-1) -
+    den_2 * c_(n-2) - ..., subtracted in that order, as
+    :meth:`RationalGF.series` runs it.  This holds while the coefficients
+    stay finite; past float64's range numpy warns of the overflow.
+    """
+    emax = _check_integer("exponent emax", emax, least=0)
+    nmax = _check_integer("horizon nmax", nmax, least=0)
+    width = nmax + 1
+    powers = np.zeros((width, 2, emax + 1))  # [n, numerator|denominator, e]
+    powers[0, :, 0] = 1.0
+    if emax:
+        powers[:, :, 1:2] = _cut(a, width)
+    degree = max(len(a.num.coeffs), len(a.den.coeffs)) - 1  # a**e's is <= e * degree
+    top = 1
+    while top <= emax:
+        rows = min(top + 1, emax + 1 - top)  # a**0..a**(rows-1) times a**top
+        square = powers[:, :, top : top + 1]
+        powers[:, :, top : top + rows] = _mul_cut(
+            powers[:, :, :rows], square, ((rows - 1) * degree + 1, top * degree + 1)
+        )
+        top *= 2
+    terms = max(len(h.num.coeffs), len(h.den.coeffs))
+    product = _mul_cut(_cut(h, width), powers, (terms, emax * degree + 1))
+    # c_n goes to row nmax - n, so step n multiplies den_0..den_n (den_0 is
+    # exactly 1.0, a product of normalized denominators) into rows
+    # nmax-n..nmax, which hold num_n, then c_(n-1), ..., c_0, and subtracts
+    # the products from the first in order
+    rev, den = product[::-1, 0].copy(), product[:, 1]
+    work = np.empty_like(rev)
+    for n in range(1, width):
+        step = work[: n + 1]
+        np.multiply(den[: n + 1], rev[width - 1 - n :], out=step)
+        np.subtract.reduce(step, axis=0, out=rev[width - 1 - n])
+    return np.ascontiguousarray(rev[::-1].T)

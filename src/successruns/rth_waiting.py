@@ -24,13 +24,13 @@ laws and against exhaustive enumeration.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometric import markov_vk_pgf
 from .models import ConsistencyError, Pmf, TrialModel, _check_integer
-from .polyseries import Moments, Poly, RationalGF
+from .polyseries import Moments, Poly, RationalGF, ladder_series
 
 
 class Scheme(enum.Enum):
@@ -135,36 +135,30 @@ def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
     return _lowest_degree(h.num) + (r - 1) * _lowest_degree(a.num)
 
 
-def _rth_series(
-    h: RationalGF, power: RationalGF, offset: int, nmax: int
-) -> np.ndarray:
-    """Raw coefficients offset..nmax of H * A**(r-1), given power = A**(r-1).
-
-    The series is causal, so its first n + 1 coefficients are the same for
-    every nmax >= n.
-    """
-    coeffs = (h * power).series(nmax)
-    return np.asarray(coeffs[offset:], dtype=np.float64)
-
-
 def _rth_rows(
     h: RationalGF, a: RationalGF, k: int, scheme: Scheme, rmax: int, nmax: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(r, offset, raw coefficients offset..nmax) of H * A**(r-1) for each
-    r = 1..rmax whose support starts by nmax.
+) -> tuple[list[int], np.ndarray]:
+    """Offsets and series of H * A**(r-1) for r = 1..R, the r <= rmax whose
+    support starts by nmax.
 
-    Offsets grow with r, so those r are 1..R for some R.  The factors' mass
-    is checked once, before the first series is extracted, and one power
-    ladder (:meth:`RationalGF.powers`) serves every r.
+    Row r - 1 of the (R, nmax + 1) table is coefficients 0..nmax of that
+    series, which are zero below offsets[r - 1].  That offset is
+    deg H + (r - 1) * deg A, with deg the lowest nonzero numerator degree
+    (products cannot cancel at the lowest degree), so offsets grow with r.
+    The factors' mass is checked once, before :func:`ladder_series` builds
+    the whole table in a few batched passes, bit for bit the rows
+    trk_pmf extracts one r at a time.
     """
-    starts = (_support_start(h, a, r) for r in range(1, rmax + 1))
-    offsets = [offset for offset in starts if offset <= nmax]
-    if not offsets:
-        return
+    first, step = _lowest_degree(h.num), _lowest_degree(a.num)
+    if first > nmax:
+        rows = 0
+    else:
+        rows = rmax if step == 0 else min(rmax, (nmax - first) // step + 1)
+    if rows <= 0:
+        return [], np.zeros((0, nmax + 1))
     _check_mass(h, a, k, 1, scheme)
-    powers = a.powers(len(offsets) - 1)
-    for r, (offset, power) in enumerate(zip(offsets, powers), start=1):
-        yield r, offset, _rth_series(h, power, offset, nmax)
+    offsets = [first + r * step for r in range(rows)]
+    return offsets, ladder_series(h, a, rows - 1, nmax)
 
 
 def trk_pmf(
@@ -184,7 +178,7 @@ def trk_pmf(
     if offset > nmax:
         return Pmf(offset=offset, probs=np.zeros(0), tail=1.0)
     _check_mass(h, a, k, r, scheme)
-    probs = _rth_series(h, a ** (r - 1), offset, nmax)
+    probs = np.array((h * a ** (r - 1)).series(nmax)[offset:])
     return Pmf(offset=offset, probs=probs, tail=1.0 - float(probs.sum()))
 
 

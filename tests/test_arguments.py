@@ -50,6 +50,7 @@ from successruns.fibk import char_roots
 from successruns.geometric import markov_vk_pgf, mean_wait
 from successruns.inference import loglik_vk
 from successruns.oracle import enumerate_reference
+from successruns.polyseries import ladder_series
 from successruns.rth_waiting import occurrence_factors, trk_tail
 from successruns.run_counts import first_occurrence_index, max_count
 
@@ -135,6 +136,8 @@ CASES = {
     "RationalGF ** e": ("exponent", 0, lambda x: GF**x),
     "RationalGF.powers emax": ("emax", 0, lambda x: GF.powers(x)),
     "RationalGF.series nmax": ("nmax", 0, lambda x: GF.series(x)),
+    "ladder_series emax": ("emax", 0, lambda x: ladder_series(GF, GF, x, 6)),
+    "ladder_series nmax": ("nmax", 0, lambda x: ladder_series(GF, GF, 3, x)),
 }
 
 

@@ -139,6 +139,25 @@ def test_rth_run_moments_compose_as_trk_moments_does():
             )
 
 
+@pytest.mark.parametrize(
+    "k, scheme, rmax, nmax",
+    [(2, "II", 10, 200), (2, "III", 30, 200), (2, "III", 30, 120)],
+)
+def test_rth_run_tables_fail_with_the_first_error_trk_pmf_raises(k, scheme, rmax, nmax):
+    # tail mass at r = 10 and r = 14, and a refused entry at r = 29
+    for r in range(1, rmax + 1):
+        try:
+            trk_pmf(IID(0.5), k, r, scheme, nmax)
+        except ValueError as err:
+            first = str(err)
+            break
+    else:
+        pytest.fail("trk_pmf answered every r")
+    with pytest.raises(ValueError) as got:
+        trk_rows.__wrapped__(IID(0.5), k, scheme, rmax, nmax)
+    assert str(got.value) == first
+
+
 def test_count_tables_fail_where_a_horizon_fails():
     with pytest.raises(ValueError, match="pmf entry"):
         counts_rows.__wrapped__(IID(0.5), 2, "III", 105)

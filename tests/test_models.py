@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from successruns.models import IID, Markov, Pmf, tv_distance
+from successruns.models import (
+    IID,
+    Markov,
+    Pmf,
+    _checked_mass,
+    _clamp_rows,
+    _entry_error,
+    tv_distance,
+)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
@@ -140,6 +148,44 @@ def test_pmf_clamp_boundary():
         Pmf(0, [1.0, -1.1e-12])
     with pytest.raises(ValueError, match="pmf entry"):  # a NaN cannot hide it
         Pmf(0, [1.0, float("nan"), -0.5])
+
+
+def test_the_table_rule_is_pmfs_rule_on_each_row():
+    nan = float("nan")
+    table = np.array(
+        [
+            [nan, -0.5, 0.5, 0.5],  # entries before the offset are not read
+            [0.0, 1.0, -1e-12, 0.0],  # clamped
+            [0.25, 0.25, 0.25, 0.25],
+            [0.5, nan, 0.5, -0.5],  # refused for its NaN
+            [0.5, 0.5, 0.25, -0.25],  # refused too, but later
+        ]
+    )
+    offsets = [2, 0, 0, 0, 0]
+    probs, refused = _clamp_rows(table, offsets)
+    assert refused == 3
+    assert (probs[0, :2] == 0.0).all()
+    for i in range(refused):
+        pm = Pmf(offsets[i], table[i, offsets[i] :], tail=0.0)
+        assert probs[i, offsets[i] :].tobytes() == pm.probs.tobytes()
+        assert _checked_mass(table[i, offsets[i] :], probs[i, offsets[i] :]) == 1.0
+    for row in table[refused:]:
+        with pytest.raises(ValueError) as want:
+            Pmf(0, row)
+        assert str(_entry_error(row.min())) == str(want.value)
+    assert _clamp_rows(table[:3], offsets[:3])[1] == 3
+
+
+def test_checked_mass_raises_what_pmf_raises():
+    # a row whose sum overshoots 1, and one whose probs lost mass to a clamp
+    for raw, probs in (([0.5, 0.5 + 2e-12], None), ([0.5, 0.5], [0.5, 0.25])):
+        raw = np.array(raw)
+        probs = raw if probs is None else np.array(probs)
+        with pytest.raises(ValueError) as want:
+            Pmf(0, probs, tail=1.0 - float(raw.sum()))
+        with pytest.raises(ValueError) as got:
+            _checked_mass(raw, probs)
+        assert str(got.value) == str(want.value)
 
 
 def test_pmf_negative_zero_is_cleared():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from successruns.polyseries import Moments, Poly, RationalGF
+from successruns.polyseries import Moments, Poly, RationalGF, ladder_series
 
 coeff = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -151,6 +151,61 @@ def test_power_ladder_is_the_powers_bit_for_bit():
     assert f.powers(37) == [f**e for e in range(38)]
     with pytest.raises(ValueError):
         f.powers(-1)
+
+
+#: Factor pairs (h, a) with interior zeros, negative coefficients and
+#: signed zeros, a numerator with a constant term, and a denominator
+#: normalized from a constant term of 2.
+HAND_BUILT = [
+    (
+        RationalGF(Poly((0.0, 0.3, 0.0, -0.2, 0.5)), Poly((1.0, -0.4, 0.0, 0.25))),
+        RationalGF(Poly((0.0, 0.0, 0.6, -0.0, -0.1, 0.5)), Poly((1.0, 0.0, -0.3, 0.1))),
+    ),
+    (
+        RationalGF(Poly((-0.0, 0.7, 0.0, 0.0, -0.3))),
+        RationalGF(Poly((0.25, -0.5, 0.0, 1.0)), Poly((2.0, 0.0, -1.0))),
+    ),
+]
+
+
+def _series_of_powers(h, a, emax, nmax):
+    return np.array([(h * a**e).series(nmax) for e in range(emax + 1)])
+
+
+@pytest.mark.parametrize("h, a", HAND_BUILT)
+def test_ladder_series_is_the_series_of_each_power_bit_for_bit(h, a):
+    for nmax in (0, 1, 3, 9, 30):
+        want = _series_of_powers(h, a, 20, nmax)
+        for emax in range(21):
+            got = ladder_series(h, a, emax, nmax)
+            assert got.tobytes() == want[: emax + 1].tobytes(), (nmax, emax)
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), coeff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(signed, min_size=1, max_size=5),
+    st.lists(signed, min_size=0, max_size=3),
+    st.lists(signed, min_size=1, max_size=5),
+    st.lists(signed, min_size=0, max_size=3),
+    st.integers(0, 12),
+    st.integers(0, 25),
+)
+def test_ladder_series_matches_the_plain_algebra(hn, hd, an, ad, emax, nmax):
+    h = RationalGF(Poly(hn), Poly([1.0] + hd))
+    a = RationalGF(Poly(an), Poly([1.0] + ad))
+    got = ladder_series(h, a, emax, nmax)
+    assert got.tobytes() == _series_of_powers(h, a, emax, nmax).tobytes()
+
+
+def test_ladder_series_checks_its_integers():
+    h, a = HAND_BUILT[0]
+    with pytest.raises(ValueError, match="emax"):
+        ladder_series(h, a, -1, 3)
+    with pytest.raises(ValueError, match="nmax"):
+        ladder_series(h, a, 2, 2.0)
 
 
 def test_moments_at_one_geometric():

@@ -8,7 +8,7 @@ from exact_referee import chain_of, gaps, wait_law
 
 from successruns.geometric import vk_pmf
 from successruns.models import IID, ConsistencyError, Markov, tv_distance
-from successruns.polyseries import Poly, RationalGF
+from successruns.polyseries import Poly, RationalGF, ladder_series
 from successruns.rth_waiting import (
     Scheme,
     _check_mass,
@@ -179,6 +179,31 @@ def test_power_ladder_equals_repeated_squaring(model, scheme, k):
             want = factor**e
             assert power.num.coeffs == want.num.coeffs, e
             assert power.den.coeffs == want.den.coeffs, e
+    # and so must the batched kernel's series of H times each power
+    h, a = occurrence_factors(model, k, scheme)
+    rows = ladder_series(h, a, 60, 70)
+    assert rows.shape == (61, 71)
+    for e, row in enumerate(rows):
+        assert row.tobytes() == np.array((h * a**e).series(70)).tobytes(), e
+
+
+@pytest.mark.parametrize(
+    "model", [IID(0.37), Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35)]
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ladder_series_rows_are_each_powers_series_bit_for_bit(model, k):
+    # tobytes() compares signed zeros too; the horizons run from below the
+    # factors' degrees to far above them, and every emax to 40 leaves the
+    # ladder's top level absent, partial or full
+    for scheme in SCHEMES:
+        h, a = occurrence_factors(model, k, scheme)
+        powers = [a**e for e in range(41)]
+        for nmax in sorted({0, 1, 2, k, 26, 60}):
+            want = np.array([(h * power).series(nmax) for power in powers])
+            for emax in range(41):
+                got = ladder_series(h, a, emax, nmax)
+                assert got.shape == (emax + 1, nmax + 1)
+                assert got.tobytes() == want[: emax + 1].tobytes(), (scheme, nmax, emax)
 
 
 def test_mass_check_names_a_denominator_that_vanishes_at_one():
