@@ -49,14 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .geometric import _longest_laws
-from .models import (
-    ConsistencyError,
-    Pmf,
-    TrialModel,
-    _checked_mass,
-    _clamp_rows,
-    _entry_error,
-)
+from .models import ConsistencyError, Pmf, TrialModel
 from .polyseries import Moments, Poly, RationalGF
 from .rth_waiting import (
     Scheme,
@@ -452,21 +445,15 @@ def trk_rows(
 ) -> np.ndarray:
     """h[r][n] = P(T_{r,k} = n) for r = 0..rmax; row zero is the delta at 0.
 
-    Row r is the law trk_pmf(model, k, r, scheme, nmax) gives, from one
-    table of every r's series (:func:`_rth_rows`) under Pmf's rules: the
-    entry rule on the whole table at once, then each row's tail and total
-    checks, so the first row trk_pmf refuses fails with its error.
+    Row r is the law trk_pmf(model, k, r, scheme, nmax) gives, read off the
+    checked table :func:`_rth_rows` builds at the one horizon nmax, so the
+    first row trk_pmf refuses fails with its error.
     """
     table = np.zeros((rmax + 1, nmax + 1))
     table[0, 0] = 1.0
     h, a = factors(model, k, scheme)
-    offsets, raw = _rth_rows(h, a, k, scheme, rmax, nmax)
-    clamped, refused = _clamp_rows(raw, offsets)
-    for r, offset in enumerate(offsets, start=1):
-        if r - 1 == refused:
-            raise _entry_error(raw[r - 1, offset:].min())
-        _checked_mass(raw[r - 1, offset:], clamped[r - 1, offset:])
-    table[1 : len(offsets) + 1] = clamped
+    offsets, probs, _ = _rth_rows(h, a, k, scheme, rmax, range(nmax, nmax + 1))
+    table[1 : len(offsets) + 1] = probs
     return table
 
 
@@ -556,7 +543,7 @@ def _factor_moments(
 ) -> tuple[Moments, Moments]:
     """Moments at z = 1 of the H and A factors, after their mass check."""
     h, a = factors(model, k, scheme)
-    _check_mass(h, a, k, 1, scheme)
+    _check_mass(h, a, k, scheme)
     return h.moments_at_one(), a.moments_at_one()
 
 

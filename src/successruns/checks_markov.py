@@ -107,16 +107,15 @@ def _double_pgf_dev(m: Markov, k: int, scheme: Scheme, big_r, pz, qz) -> float:
 def _step_ratio_dev(m: Markov, k: int, scheme: Scheme, rnum, rs) -> float:
     """Worst gap of rnum / R times the pgf of T_{r-1} from row r, r in rs.
 
-    The pgf of T_{r-1} is H * A**(r-2), with every power from one ladder
-    of the cached factors (bit for bit what trk_pgf builds).
+    The pgf of T_{r-1} is H * A**(r-2) from the cached factors, bit for bit
+    what trk_pgf builds; row r is from the checked table of trk_rows.
     """
     big_r = _big_r(m.alpha, m.beta, k)
     rows = trk_rows(m, k, scheme, RMAX, NMAX)
     h, a = factors(m, k, scheme)
-    powers = a.powers(max(rs) - 2)
     gaps = []
     for r in rs:
-        prev = h * powers[r - 2]
+        prev = h * a ** (r - 2)
         printed = RationalGF(rnum * prev.num, big_r * prev.den)
         gaps.append(seq_dev(printed.series(NMAX), rows[r]))
     return worst(*gaps)

@@ -154,23 +154,6 @@ class RationalGF:
                 base = base * base
         return result
 
-    def powers(self, emax: int) -> list["RationalGF"]:
-        """[self**0, ..., self**emax], one product per power.
-
-        ``__pow__`` multiplies the squares self**(2**i) into ``one()`` in
-        ascending bit order, so self**e is self**(e - 2**t) times the square
-        at e's top bit t, bit for bit; each power here is that one product.
-        """
-        emax = _check_integer("exponent emax", emax, least=0)
-        squares = [self]
-        while (1 << len(squares)) <= emax:
-            squares.append(squares[-1] * squares[-1])
-        out = [RationalGF.one()]
-        for e in range(1, emax + 1):
-            top = e.bit_length() - 1
-            out.append(out[e - (1 << top)] * squares[top])
-        return out
-
     def __call__(self, z: float) -> float:
         return self.num(z) / self.den(z)
 
@@ -254,15 +237,16 @@ def ladder_series(h: RationalGF, a: RationalGF, emax: int, nmax: int) -> np.ndar
     bit for bit, for e = 0..emax.
 
     Coefficients past nmax never reach one at or below it, so every power
-    and product is cut to nmax + 1 coefficients.  The powers pair as
-    :meth:`RationalGF.powers` pairs them, a**e = a**(e - 2**t) * a**(2**t)
-    with t the top bit of e, so all e with one top bit are one batched
-    product: a**0..a**(2**t) times a**(2**t), whose last row is the square
-    a**(2**(t+1)) for the next bit.  Taking a**(2**t) from its row changes
-    no bit: that row is 1 * a**(2**t), and a product never holds a -0.0.
-    h times every power is one more batched product, and the series
-    recurrence runs once for all rows: c_n = num_n - den_1 * c_(n-1) -
-    den_2 * c_(n-2) - ..., subtracted in that order, as
+    and product is cut to nmax + 1 coefficients.  :meth:`RationalGF.__pow__`
+    multiplies the squares a**(2**i) into ``one()`` in ascending bit order,
+    so a**e is a**(e - 2**t) times the square a**(2**t), t the top bit of
+    e, bit for bit.  The powers pair that way here, so all e with one top
+    bit are one batched product: a**0..a**(2**t) times a**(2**t), whose
+    last row is the square a**(2**(t+1)) for the next bit.  Taking
+    a**(2**t) from its row changes no bit: that row is 1 * a**(2**t), and a
+    product never holds a -0.0.  h times every power is one more batched
+    product, and the series recurrence runs once for all rows: c_n = num_n
+    - den_1 * c_(n-1) - den_2 * c_(n-2) - ..., subtracted in that order, as
     :meth:`RationalGF.series` runs it.  This holds while the coefficients
     stay finite; past float64's range numpy warns of the overflow.
     """

@@ -29,7 +29,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometric import markov_vk_pgf
-from .models import ConsistencyError, Pmf, TrialModel, _check_integer
+from .models import (
+    ConsistencyError,
+    Pmf,
+    TrialModel,
+    _check_integer,
+    _checked_mass,
+    _clamp_rows,
+    _entry_error,
+)
 from .polyseries import Moments, Poly, RationalGF, ladder_series
 
 
@@ -82,11 +90,9 @@ def occurrence_factors(
     return h, step + fail_restart
 
 
-def _check_mass(
-    h: RationalGF, a: RationalGF, k: int, r: int, scheme: Scheme
-) -> None:
+def _check_mass(h: RationalGF, a: RationalGF, k: int, scheme: Scheme) -> None:
     """Raise ConsistencyError unless H and A each have unit mass at z = 1."""
-    where = f"for k={k}, r={r}, scheme={Scheme.from_label(scheme).value}"
+    where = f"for k={k}, scheme={Scheme.from_label(scheme).value}"
     for name, factor in (("first-occurrence", h), ("inter-occurrence", a)):
         den1 = factor.den(1.0)
         if den1 == 0.0:
@@ -114,51 +120,60 @@ def trk_pgf(model: TrialModel, k: int, r: int, scheme: Scheme) -> RationalGF:
     k = _check_integer("run length k", k)
     r = _check_integer("occurrence index r", r)
     h, a = occurrence_factors(model, k, scheme)
-    _check_mass(h, a, k, r, scheme)
+    _check_mass(h, a, k, scheme)
     return h * a ** (r - 1)
 
 
 def _lowest_degree(p: Poly) -> int:
+    """Lowest degree with a nonzero coefficient.  The support of
+    H * A**(r-1) starts at that of H's numerator plus r - 1 times that of
+    A's: products cannot cancel at the lowest degree."""
     for i, c in enumerate(p.coeffs):
         if c != 0.0:
             return i
     return 0
 
 
-def _support_start(h: RationalGF, a: RationalGF, r: int) -> int:
-    """Smallest trial index with positive probability, read off structurally.
-
-    Computed from the lowest nonzero numerator degrees of the H and A
-    factors (products cannot cancel at the lowest degree), not from any
-    precomputed formula.
-    """
-    return _lowest_degree(h.num) + (r - 1) * _lowest_degree(a.num)
-
-
 def _rth_rows(
-    h: RationalGF, a: RationalGF, k: int, scheme: Scheme, rmax: int, nmax: int
-) -> tuple[list[int], np.ndarray]:
-    """Offsets and series of H * A**(r-1) for r = 1..R, the r <= rmax whose
-    support starts by nmax.
+    h: RationalGF, a: RationalGF, k: int, scheme: Scheme, rmax: int, horizons: range
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Laws of T_r to the last horizon nmax for r = 1..R, the r <= rmax
+    whose support starts by nmax, under trk_pmf's checks at every horizon.
 
-    Row r - 1 of the (R, nmax + 1) table is coefficients 0..nmax of that
-    series, which are zero below offsets[r - 1].  That offset is
-    deg H + (r - 1) * deg A, with deg the lowest nonzero numerator degree
-    (products cannot cancel at the lowest degree), so offsets grow with r.
-    The factors' mass is checked once, before :func:`ladder_series` builds
-    the whole table in a few batched passes, bit for bit the rows
-    trk_pmf extracts one r at a time.
+    Returns offsets, probs and masses: row r - 1 of probs is T_r's law
+    under Pmf's entry rule, zero below offsets[r - 1], and masses[i, r - 1]
+    is P(T_r <= horizons[i]), zero before the support starts.  The
+    factors' mass is checked once, before :func:`ladder_series` builds
+    every row's series, bit for bit trk_pmf's.  Then, row by row: the entry
+    refusal if this is the first row Pmf refuses, the tail and total checks
+    at nmax, and those at each shorter horizon whose support has started,
+    so the error is the first that trk_pmf raises horizon by horizon.
     """
+    nmax = horizons[-1]
     first, step = _lowest_degree(h.num), _lowest_degree(a.num)
     if first > nmax:
         rows = 0
     else:
         rows = rmax if step == 0 else min(rmax, (nmax - first) // step + 1)
     if rows <= 0:
-        return [], np.zeros((0, nmax + 1))
-    _check_mass(h, a, k, 1, scheme)
+        return [], np.zeros((0, nmax + 1)), np.zeros((len(horizons), 0))
+    _check_mass(h, a, k, scheme)
     offsets = [first + r * step for r in range(rows)]
-    return offsets, ladder_series(h, a, rows - 1, nmax)
+    table = ladder_series(h, a, rows - 1, nmax)
+    probs, refused = _clamp_rows(table, offsets)
+    masses = np.zeros((len(horizons), rows))
+    for r, offset in enumerate(offsets):
+        raw, row = table[r, offset:], probs[r, offset:]
+        if r == refused:
+            raise _entry_error(raw.min())
+        if not (raw < 0.0).any():
+            raw = row  # nothing was clamped: the two sums agree
+        masses[-1, r] = _checked_mass(raw, row)
+        for i, n in enumerate(horizons[:-1]):
+            if offset <= n:
+                m = n - offset + 1
+                masses[i, r] = _checked_mass(raw[:m], row[:m])
+    return offsets, probs, masses
 
 
 def trk_pmf(
@@ -174,10 +189,10 @@ def trk_pmf(
     r = _check_integer("occurrence index r", r)
     nmax = _check_integer("horizon nmax", nmax, least=0)
     h, a = occurrence_factors(model, k, scheme)
-    offset = _support_start(h, a, r)
+    offset = _lowest_degree(h.num) + (r - 1) * _lowest_degree(a.num)
     if offset > nmax:
         return Pmf(offset=offset, probs=np.zeros(0), tail=1.0)
-    _check_mass(h, a, k, r, scheme)
+    _check_mass(h, a, k, scheme)
     probs = np.array((h * a ** (r - 1)).series(nmax)[offset:])
     return Pmf(offset=offset, probs=probs, tail=1.0 - float(probs.sum()))
 
@@ -207,7 +222,7 @@ def trk_moments(model: TrialModel, k: int, r: int, scheme: Scheme) -> RunMoments
     k = _check_integer("run length k", k)
     r = _check_integer("occurrence index r", r)
     h, a = occurrence_factors(model, k, scheme)
-    _check_mass(h, a, k, r, scheme)
+    _check_mass(h, a, k, scheme)
     return _compose_moments(h.moments_at_one(), a.moments_at_one(), r)
 
 

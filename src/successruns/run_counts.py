@@ -16,14 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import (
-    Pmf,
-    TrialModel,
-    _check_integer,
-    _checked_mass,
-    _clamp_rows,
-    _entry_error,
-)
+from .models import Pmf, TrialModel, _check_integer
 from .polyseries import RationalGF
 from .rth_waiting import RunMoments, Scheme, _rth_rows, occurrence_factors
 
@@ -108,35 +101,18 @@ def _count_laws(
     """Laws of N_n for every n in horizons, via waiting-time inversion.
 
     P(N_n = x) = P(T_x <= n) - P(T_{x+1} <= n), with T_x the x-th occurrence
-    time.  The series of T_x's pgf H * A**(x-1) is causal, so one table
-    (:func:`_rth_rows`) holds every x's series to the last horizon, and
-    P(T_x <= n) is the sum of its first n - offset + 1 entries: the prefix
-    that trk_pmf(..., nmax=n) sums, under the same checks.  Pmf's entry rule
-    runs on the whole table at once; each row's tail and total checks run
-    at the last horizon first, where its prefix is the whole row, so a row
-    fails with the error trk_pmf's Pmf would raise first.  The caller
-    supplies the factors H and A of (model, k, scheme), so a caller that
-    holds them builds them once.
+    time.  :func:`_rth_rows` gives every P(T_x <= n), each under the checks
+    trk_pmf(..., x, scheme, n) runs and in the order it would raise; this
+    only differences them.  The caller supplies the factors H and A of
+    (model, k, scheme), so a caller that holds them builds them once.
     """
     if not horizons:
         return []
     scheme = Scheme.from_label(scheme)
     xmaxes = [max_count(n, k, scheme) for n in horizons]
-    cdfs = np.zeros((len(horizons), xmaxes[-1] + 2))  # [i, x-1] = P(T_x <= n_i)
-    offsets, table = _rth_rows(h, a, k, scheme, xmaxes[-1] + 1, horizons[-1])
-    clamped, refused = _clamp_rows(table, offsets)
-    last = len(horizons) - 1
-    for x, offset in enumerate(offsets, start=1):
-        raw, probs = table[x - 1, offset:], clamped[x - 1, offset:]
-        if x - 1 == refused:
-            raise _entry_error(raw.min())
-        if not (raw < 0.0).any():
-            raw = probs  # nothing was clamped: the two sums agree
-        cdfs[last, x - 1] = _checked_mass(raw, probs)
-        for i, n in enumerate(horizons[:last]):
-            if offset <= n and x <= xmaxes[i] + 1:
-                m = n - offset + 1
-                cdfs[i, x - 1] = _checked_mass(raw[:m], probs[:m])
+    _, _, masses = _rth_rows(h, a, k, scheme, xmaxes[-1] + 1, horizons)
+    cdfs = np.zeros((len(horizons), xmaxes[-1] + 1))  # [i, x-1] = P(T_x <= n_i)
+    cdfs[:, : masses.shape[1]] = masses
     laws = []
     for xmax, cdf in zip(xmaxes, cdfs):
         probs = np.empty(xmax + 1)

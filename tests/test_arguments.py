@@ -84,6 +84,9 @@ CASES = {
     "first_occurrence_index r": (
         "r", 1, lambda x: first_occurrence_index("0110111", 1, x, "I")
     ),
+    "first_occurrence_index k": (
+        "k", 1, lambda x: first_occurrence_index("0110111", x, 1, "I")
+    ),
     "max_count n": ("n", 0, lambda x: max_count(x, 2, "II")),
     "max_count k": ("k", 1, lambda x: max_count(10, x, "II")),
     "counts_pmf n": ("n", 0, lambda x: counts_pmf(M, x, 2, "III")),
@@ -134,7 +137,6 @@ CASES = {
     "Pmf offset": ("offset", 0, lambda x: Pmf(x, [0.5, 0.5])),
     "Poly.term power": ("power", 0, lambda x: Poly.term(1.5, x)),
     "RationalGF ** e": ("exponent", 0, lambda x: GF**x),
-    "RationalGF.powers emax": ("emax", 0, lambda x: GF.powers(x)),
     "RationalGF.series nmax": ("nmax", 0, lambda x: GF.series(x)),
     "ladder_series emax": ("emax", 0, lambda x: ladder_series(GF, GF, x, 6)),
     "ladder_series nmax": ("nmax", 0, lambda x: ladder_series(GF, GF, 3, x)),

@@ -145,14 +145,6 @@ def test_power_matches_repeated_product():
         f**0.5
 
 
-def test_power_ladder_is_the_powers_bit_for_bit():
-    f = RationalGF(Poly((0.5, 0.5)), Poly((1.0, -0.25)))
-    assert f.powers(0) == [RationalGF.one()]
-    assert f.powers(37) == [f**e for e in range(38)]
-    with pytest.raises(ValueError):
-        f.powers(-1)
-
-
 #: Factor pairs (h, a) with interior zeros, negative coefficients and
 #: signed zeros, a numerator with a constant term, and a denominator
 #: normalized from a constant term of 2.
@@ -198,6 +190,20 @@ def test_ladder_series_matches_the_plain_algebra(hn, hd, an, ad, emax, nmax):
     a = RationalGF(Poly(an), Poly([1.0] + ad))
     got = ladder_series(h, a, emax, nmax)
     assert got.tobytes() == _series_of_powers(h, a, emax, nmax).tobytes()
+
+
+@pytest.mark.parametrize(
+    "f", [RationalGF(Poly((0.5, 0.5)), Poly((1.0, -0.25)))] + [a for _, a in HAND_BUILT]
+)
+def test_power_is_the_top_bit_product_bit_for_bit(f):
+    # ladder_series pairs a**e as a**(e - 2**t) * a**(2**t), t the top bit
+    # of e, and relies on __pow__ giving those same bits
+    def bits(g):
+        return repr(g.num.coeffs), repr(g.den.coeffs)
+
+    for e in range(1, 38):
+        top = 1 << (e.bit_length() - 1)
+        assert bits(f**e) == bits(f ** (e - top) * f**top), e
 
 
 def test_ladder_series_checks_its_integers():

@@ -18,6 +18,7 @@ from successruns.rth_waiting import (
     trk_pmf,
     trk_tail,
 )
+from successruns.run_counts import counts_pmf
 
 MODELS = [IID(0.5), IID(0.35), Markov(0.45, 0.3, 0.6), Markov(0.62, 0.55, 0.35)]
 SCHEMES = list(Scheme)
@@ -171,15 +172,8 @@ def test_rejects_bad_arguments():
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("k", [1, 3])
 def test_power_ladder_equals_repeated_squaring(model, scheme, k):
-    # the ladder's tables must stay bit-identical to the per-r route
-    for factor in occurrence_factors(model, k, scheme):
-        ladder = factor.powers(60)
-        assert len(ladder) == 61
-        for e, power in enumerate(ladder):
-            want = factor**e
-            assert power.num.coeffs == want.num.coeffs, e
-            assert power.den.coeffs == want.den.coeffs, e
-    # and so must the batched kernel's series of H times each power
+    # the batched kernel's series of H times each power must stay
+    # bit-identical to the per-r route
     h, a = occurrence_factors(model, k, scheme)
     rows = ladder_series(h, a, 60, 70)
     assert rows.shape == (61, 71)
@@ -211,8 +205,12 @@ def test_mass_check_names_a_denominator_that_vanishes_at_one():
     h, a = occurrence_factors(IID(0.02), 12, Scheme.NON_OVERLAPPING)
     assert h.den(1.0) == 0.0
     with pytest.raises(ConsistencyError, match="denominator is 0 at z=1"):
-        _check_mass(h, a, 12, 1, Scheme.NON_OVERLAPPING)
+        _check_mass(h, a, 12, Scheme.NON_OVERLAPPING)
     h, _ = occurrence_factors(IID(0.5), 1, Scheme.AT_LEAST)
     vanishing = RationalGF(Poly((0.0, 1.0)), Poly((1.0, -1.0)))
     with pytest.raises(ConsistencyError, match="inter-occurrence"):
-        _check_mass(h, vanishing, 1, 2, Scheme.AT_LEAST)
+        _check_mass(h, vanishing, 1, Scheme.AT_LEAST)
+    # neither factor depends on r, so a count query names none
+    with pytest.raises(ConsistencyError, match="for k=6, scheme=I$") as err:
+        counts_pmf(IID(0.05), 20, 6, "I")
+    assert "r=" not in str(err.value)

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from exact_referee import chain_of, count_law, gaps
 
-from successruns.checks import counts_rows
+from successruns import rth_waiting
+from successruns.checks import counts_rows, trk_rows
 from successruns.models import IID, Markov, Pmf
-from successruns.rth_waiting import Scheme, trk_pmf
+from successruns.rth_waiting import Scheme, occurrence_factors, trk_pmf
 from successruns.run_counts import (
     count_runs,
     counts_moments,
+    _count_laws,
     counts_pmf,
     first_occurrence_index,
     max_count,
@@ -233,3 +235,40 @@ def test_known_drift_at_a_long_horizon_is_unchanged():
     # the exact mean is 24.75; the waiting-time inversion cancels in float64
     # at this horizon, and this pins that it still gives the same law
     assert counts_pmf(IID(0.5), 100, 2, "III").mean() == 24.75853747793034
+
+
+@pytest.fixture
+def crafted_ladder(monkeypatch):
+    """Series of T_1..T_3 for IID(1/2), k = 2, scheme I to n = 6, replaced by
+    a table in which T_1's prefix to n = 3 holds too much mass and T_2 has
+    an entry Pmf refuses."""
+    table = np.zeros((3, 7))
+    table[0, 2:] = [0.25, 0.75 + 1.5e-12, -1e-12, -1e-12, 0.0]
+    table[1, 4:] = [0.5, 0.5 + 1e-3, -1e-3]
+    table[2, 6] = 0.5
+
+    def ladder(h, a, emax, nmax):
+        assert (emax, nmax) == (2, 6)
+        return table.copy()
+
+    monkeypatch.setattr(rth_waiting, "ladder_series", ladder)
+    return occurrence_factors(IID(0.5), 2, "I")
+
+
+def test_count_laws_raise_the_first_error_in_per_horizon_order(crafted_ladder):
+    # each row runs all of its horizons before the next row's entry rule,
+    # as counts_pmf one horizon at a time meets them: T_1 fails at n = 3
+    # before T_2's refused entry is reached
+    h, a = crafted_ladder
+    with pytest.raises(ValueError) as err:
+        _count_laws(h, a, 2, "I", range(0, 7))
+    assert str(err.value) == (
+        "tail mass -1.5001333508735115e-12 is below -1e-12 or NaN"
+    )
+
+
+def test_rth_run_tables_raise_the_refused_entry_at_one_horizon(crafted_ladder):
+    # at n = 6 alone T_1 holds its mass, and T_2's entry is refused
+    with pytest.raises(ValueError) as err:
+        trk_rows.__wrapped__(IID(0.5), 2, "I", 3, 6)
+    assert str(err.value) == "pmf entry -0.001 below -1e-12; refusing to clamp"
