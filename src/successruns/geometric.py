@@ -222,8 +222,7 @@ def horizon_error(model: TrialModel, k: int, horizon: float) -> ValueError:
     return ValueError(
         f"the first {k}-run wait has mean {mean_wait(model, k):.6g} trials; "
         f"covering it takes a horizon of {horizon:.0f} trials, above the limit "
-        f"of {MAX_HORIZON}; pass an explicit horizon where one is accepted "
-        "(vmax, or --vmax on the command line)"
+        f"of {MAX_HORIZON}"
     )
 
 
@@ -251,21 +250,33 @@ def _log_decay(model: TrialModel, k: int) -> float:
     return u
 
 
+def _covering_horizon(model: TrialModel, k: int) -> float:
+    """max(10k, log(1e-12) / log(rho)), rho the decay ratio of the
+    recursion's dominant root (:func:`_log_decay`): the horizon that leaves
+    about 1e-12 of mass in the tail.  Unbounded: 10k alone where that is
+    above MAX_HORIZON, inf where rho rounds to 1.
+    """
+    if 10 * k > MAX_HORIZON:
+        return 10 * k
+    log_rho = _log_decay(model, k)
+    span = math.log(1e-12) / log_rho if log_rho < 0.0 else math.inf
+    return max(10 * k, span)
+
+
 def default_vmax(model: TrialModel, k: int) -> int:
     """Truncation horizon leaving about 1e-12 of mass in the tail.
 
-    Takes the decay ratio rho from the recursion's dominant root
-    (:func:`_log_decay`) and returns max(10k, ceil(log(1e-12)/log(rho))).
-    Raises ValueError when that exceeds MAX_HORIZON.
+    Returns :func:`_covering_horizon` rounded up.  Raises ValueError when
+    that exceeds MAX_HORIZON.
     """
     k = _check_integer("run length k", k)
-    if 10 * k > MAX_HORIZON:
-        raise horizon_error(model, k, 10 * k)
-    log_rho = _log_decay(model, k)
-    span = math.log(1e-12) / log_rho if log_rho < 0.0 else math.inf
-    if span > MAX_HORIZON:
-        raise horizon_error(model, k, span)
-    return max(10 * k, math.ceil(span))
+    horizon = _covering_horizon(model, k)
+    if horizon > MAX_HORIZON:
+        raise ValueError(
+            f"{horizon_error(model, k, horizon)}; pass an explicit horizon where "
+            "one is accepted (vmax, or --vmax on the command line)"
+        )
+    return math.ceil(horizon)
 
 
 def vk_pmf(model: TrialModel, k: int, vmax: int | None = None) -> Pmf:

@@ -15,12 +15,13 @@ draws from an explicit seeded stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .geometric import MAX_HORIZON, default_vmax, horizon_error, vk_pmf
+from .geometric import MAX_HORIZON, _covering_horizon, horizon_error, vk_pmf
 from .models import ConsistencyError, IID, Markov, Pmf, TrialModel, _check_integer
 from .run_counts import count_runs, first_occurrence_index
 from .rth_waiting import Scheme
@@ -360,19 +361,21 @@ def sample_waiting_times(
 
     The cdf table is extended (doubling the horizon) until it covers every
     uniform draw, so no draw is censored; the result is an int64 array of
-    waiting times.  Raises ValueError if that needs a horizon beyond
-    MAX_HORIZON.
+    waiting times.  It starts at the horizon default_vmax would take, and
+    raises ValueError, naming the mean wait, if the table needs a horizon
+    beyond MAX_HORIZON.
     """
     reps = _check_integer("reps", reps)
+    k = _check_integer("run length k", k)
     rng = stream.generator()
     u = rng.random(reps)
-    vmax = default_vmax(model, k)
-    while True:
+    vmax = _covering_horizon(model, k)
+    while vmax <= MAX_HORIZON:
+        vmax = math.ceil(vmax)
         pm = vk_pmf(model, k, vmax=vmax)
         cdf = np.cumsum(pm.probs)
         idx = np.searchsorted(cdf, u, side="right")
         if idx.max() < len(cdf):
             return (pm.offset + idx).astype(np.int64)
         vmax *= 2
-        if vmax > MAX_HORIZON:
-            raise horizon_error(model, k, vmax)
+    raise horizon_error(model, k, vmax)

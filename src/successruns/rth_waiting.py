@@ -41,6 +41,11 @@ from .models import (
 from .polyseries import Moments, Poly, RationalGF, ladder_series
 
 
+#: Most entries, rows x (horizon + 1), of the table of r-th-run laws that
+#: :func:`_rth_rows` builds; its series kernel holds several arrays that size.
+_TABLE_ENTRIES = 2**20
+
+
 class Scheme(enum.Enum):
     """Run-counting convention; labels follow the customary Roman numerals."""
 
@@ -143,11 +148,12 @@ def _rth_rows(
     Returns offsets, probs and masses: row r - 1 of probs is T_r's law
     under Pmf's entry rule, zero below offsets[r - 1], and masses[i, r - 1]
     is P(T_r <= horizons[i]), zero before the support starts.  The
-    factors' mass is checked once, before :func:`ladder_series` builds
-    every row's series, bit for bit trk_pmf's.  Then, row by row: the entry
-    refusal if this is the first row Pmf refuses, the tail and total checks
-    at nmax, and those at each shorter horizon whose support has started,
-    so the error is the first that trk_pmf raises horizon by horizon.
+    factors' mass is checked once, and the table's size against
+    _TABLE_ENTRIES, before :func:`ladder_series` builds every row's series,
+    bit for bit trk_pmf's.  Then, row by row: the entry refusal if this is
+    the first row Pmf refuses, the tail and total checks at nmax, and those
+    at each shorter horizon whose support has started, so the error is the
+    first that trk_pmf raises horizon by horizon.
     """
     nmax = horizons[-1]
     first, step = _lowest_degree(h.num), _lowest_degree(a.num)
@@ -158,6 +164,11 @@ def _rth_rows(
     if rows <= 0:
         return [], np.zeros((0, nmax + 1)), np.zeros((len(horizons), 0))
     _check_mass(h, a, k, scheme)
+    if rows * (nmax + 1) > _TABLE_ENTRIES:
+        raise ValueError(
+            f"the table of r-th-run laws to horizon {nmax} would hold "
+            f"{rows} x {nmax + 1} entries, above the limit of {_TABLE_ENTRIES}"
+        )
     offsets = [first + r * step for r in range(rows)]
     table = ladder_series(h, a, rows - 1, nmax)
     probs, refused = _clamp_rows(table, offsets)

@@ -384,6 +384,7 @@ def test_automatic_horizon_beyond_the_cap_is_a_clean_error(capsys):
     )
     assert code == 1
     assert "mean" in err and "Traceback" not in err
+    assert "--vmax" not in err  # fit takes no horizon
     # the same query with an explicit horizon succeeds
     code, out, _ = run(
         capsys, "pmf", "--iid", "0.1", "--stat", "vk", "--k", "8", "--vmax", "50"

@@ -647,4 +647,5 @@ def test_iid_runs_as_the_chain_that_stays_on_success_with_p(p):
     assert loglik_vk(iid, 2, sample) == loglik_vk(chain, 2, sample)
     fit = fit_iid(sample, 2)
     p_hat = fit.estimates["p"]
-    assert fit.loglik == loglik_vk(Markov(p_hat, p_hat, 1.0 - p_hat), 2, sample)
+    want = loglik_vk(Markov(p_hat, p_hat, 1.0 - p_hat), 2, sample)
+    assert fit.loglik == pytest.approx(want, rel=1e-13)

@@ -173,17 +173,14 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
             bootstrap_se(markov_sample, 2, "markov", 12, SeededStream(34)),
         )
 
-    calls = []
+    plans = []
 
-    class OldRoute:
-        """Stands in for the per-sample likelihood the fitters report."""
+    class CountedPlan(inference._HPlan):
+        """The h recursion's plan, counted where the fitters build it."""
 
-        def __init__(self, k, arr):
-            self.k, self.arr = k, arr
-
-        def __call__(self, model):
-            calls.append(self.k)
-            return _loglik_via_pmf(model, self.k, self.arr)
+        def __init__(self, *args, **kwargs):
+            plans.append(args)
+            super().__init__(*args, **kwargs)
 
     scored = []
 
@@ -213,10 +210,10 @@ def test_fits_are_unchanged_by_the_likelihood_route(monkeypatch):
     evaluations = len(scored)
     assert evaluations > 0
     scored.clear()
-    monkeypatch.setattr(inference, "_SampleLikelihood", OldRoute)
+    monkeypatch.setattr(inference, "_HPlan", CountedPlan)
     monkeypatch.setattr(inference, "_SampleScore", CheckedScore)
     assert run_all() == direct
-    assert len(calls) == 27  # one reported loglik per fit and refit
+    assert len(plans) == 27  # one plan per fit and refit
     assert len(scored) == evaluations  # every Newton step ran on checked values
 
 
@@ -330,9 +327,8 @@ def test_jet_value_matches_the_plain_likelihood(family, k):
     for sample in _score_samples(family, k):
         arr = _as_sample(sample, k)
         score_at = _score_at(family, k, arr)
-        plain = inference._SampleLikelihood(k, arr)
         for x in (np.array([0.3, -0.4][:dim]), np.array([-1.1, 1.7][:dim])):
-            want = plain(_model_at(family, x))
+            want = loglik_vk(_model_at(family, x), k, arr)
             assert score_at(x)[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -349,15 +345,16 @@ def _fitted(fit):
 
 
 def _nm_fit(family, k, sample):
-    """The Nelder-Mead fit the fitters made before Newton (kept verbatim),
+    """The Nelder-Mead fit the fitters made before Newton, on loglik_vk,
     started where they start: IID at the moment start, a chain at zero."""
     arr = _as_sample(sample, k)
-    loglik = inference._SampleLikelihood(k, arr)
     if family is IID:
         start = np.array([inference._moment_start(arr, k)])
     else:
         start = np.zeros(2)
-    res = inference.nelder_mead(lambda x: -loglik(_model_at(family, x)), start)
+    res = inference.nelder_mead(
+        lambda x: -loglik_vk(_model_at(family, x), k, arr), start
+    )
     return -res.fun
 
 
@@ -383,7 +380,8 @@ def test_newton_fits_are_no_worse_than_nelder_mead(seed):
 def test_fit_loglik_is_loglik_vk_at_the_estimate(fitter, fair_sample):
     for k, sample in ((2, fair_sample[:300]), (4, np.array([4, 9, 30, 5, 4, 17]))):
         fit = fitter(sample, k)
-        assert fit.loglik == loglik_vk(_fitted(fit), k, sample)
+        want = loglik_vk(_fitted(fit), k, sample)
+        assert fit.loglik == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
@@ -395,7 +393,8 @@ def test_fits_of_underflow_samples_never_raise_a_traceback(fitter, k, sample):
     # the likelihood underflows at the models there, not at the maximum
     fit = fitter(sample, k)
     assert fit.converged and math.isfinite(fit.loglik)
-    assert fit.loglik == loglik_vk(_fitted(fit), k, sample)
+    want = loglik_vk(_fitted(fit), k, sample)
+    assert fit.loglik == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
@@ -404,7 +403,8 @@ def test_a_long_wait_does_not_strand_the_fit_at_zero_likelihood(fitter):
     # moved and reported a converged fit with loglik -inf
     fit = fitter([1, 2, 20000], 1)
     assert fit.converged and math.isfinite(fit.loglik)
-    assert fit.loglik == loglik_vk(_fitted(fit), 1, [1, 2, 20000])
+    want = loglik_vk(_fitted(fit), 1, [1, 2, 20000])
+    assert fit.loglik == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("fitter", [fit_iid, fit_markov], ids=["iid", "markov"])
@@ -552,9 +552,8 @@ def test_a_small_positive_beta_stays_inside(alpha, k, draws, seed):
         Markov.stationary_start(alpha, 0.05), k, draws, SeededStream(seed)
     )
     fit = fit_markov(sample, k)
-    loglik = inference._SampleLikelihood(k, _as_sample(sample, k))
     reference = inference.nelder_mead(
-        lambda x: -loglik(_model_at(Markov, x)), np.zeros(2), tol_f=1e-12
+        lambda x: -loglik_vk(_model_at(Markov, x), k, sample), np.zeros(2), tol_f=1e-12
     )
     nm_beta = inference.expit(float(reference.x[1]))
     assert fit.converged and 5e-3 < fit.estimates["beta"] < 0.1

@@ -243,10 +243,13 @@ def test_sample_waiting_times_tracks_exact_mean():
 
 
 def test_sample_waiting_times_refuses_unbounded_horizons(monkeypatch):
-    with pytest.raises(ValueError, match="mean"):
+    # the sampler takes no horizon, so its refusals name none to pass
+    with pytest.raises(ValueError, match="mean") as err:
         sample_waiting_times(IID(0.1), 8, 10, SeededStream(1))
+    assert "vmax" not in str(err.value)
     # a horizon that keeps falling short is doubled only up to the cap
-    monkeypatch.setattr(oracle, "default_vmax", lambda model, k: 2)
+    monkeypatch.setattr(oracle, "_covering_horizon", lambda model, k: 2)
     monkeypatch.setattr(oracle, "MAX_HORIZON", 16)
-    with pytest.raises(ValueError, match="horizon of 32 trials"):
+    with pytest.raises(ValueError, match="horizon of 32 trials") as err:
         sample_waiting_times(IID(0.5), 2, 1000, SeededStream(1))
+    assert "vmax" not in str(err.value)

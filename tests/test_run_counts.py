@@ -237,6 +237,26 @@ def test_known_drift_at_a_long_horizon_is_unchanged():
     assert counts_pmf(IID(0.5), 100, 2, "III").mean() == 24.75853747793034
 
 
+def test_a_table_of_laws_past_the_limit_is_refused():
+    # 1100 x 1101 entries: without the limit the ladder runs for seconds
+    # and then refuses a tail mass
+    with pytest.raises(ValueError) as err:
+        counts_pmf(IID(0.5), 1100, 1, "III")
+    assert str(err.value) == (
+        "the table of r-th-run laws to horizon 1100 would hold 1100 x 1101 "
+        "entries, above the limit of 1048576"
+    )
+
+
+def test_a_table_of_1e10_entries_is_refused_before_it_is_built(monkeypatch):
+    def ladder(h, a, emax, nmax):
+        raise AssertionError(f"a ladder of {emax + 1} x {nmax + 1} entries was built")
+
+    monkeypatch.setattr(rth_waiting, "ladder_series", ladder)
+    with pytest.raises(ValueError, match=r"horizon 100000 .* above the limit"):
+        counts_pmf(IID(0.5), 10**5, 1, "III")
+
+
 @pytest.fixture
 def crafted_ladder(monkeypatch):
     """Series of T_1..T_3 for IID(1/2), k = 2, scheme I to n = 6, replaced by
