@@ -550,10 +550,11 @@ def _oracle_grid(n: int, kmax: int) -> list[list]:
 @click.option(
     "--k",
     "kmax",
-    type=_POSITIVE,
+    type=click.IntRange(1, MAX_ENUM_TRIALS),
     default=3,
     show_default=True,
-    help="Largest run length on the enumeration grid.",
+    help="Largest run length on the enumeration grid (max "
+    f"{MAX_ENUM_TRIALS}, the longest horizon).",
 )
 @click.option(
     "--ledger",

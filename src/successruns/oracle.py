@@ -1,16 +1,19 @@
 """Exhaustive enumeration and seeded simulation for run statistics.
 
 This module is the ground truth the analytic routes are judged against.
-``enumerate_exact`` walks every 0/1 sequence of length n (as a prefix tree,
-vectorized over chunks of sequence ids), evaluates a run statistic on each,
-and accumulates exact sequence probabilities; nothing in it shares code with the generating
+Each statistic is a small finite automaton over streak states, written out
+here as a transition table from the definition of its scheme.
+``enumerate_exact`` walks every 0/1 sequence of length n as a prefix tree,
+one gather of that table per trial, prices each sequence in closed form and
+accumulates the exact law; nothing in it shares code with the generating
 function machinery, so agreement between the two is meaningful evidence.
 ``enumerate_reference`` recomputes the same tables through the scalar
 counters in ``run_counts`` and exists purely to validate the vectorized
 engine on small n.
 
-``simulate`` and ``sample_waiting_times`` produce reproducible Monte Carlo
-draws from an explicit seeded stream.
+``simulate`` steps the same tables over seeded draws, and
+``sample_waiting_times`` draws first-run waits by inverse transform; both
+are reproducible from an explicit seeded stream.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ from .rth_waiting import Scheme
 
 MAX_ENUM_TRIALS = 24
 _CHUNK_ROWS = 1 << 20
+#: Most entries of a statistic's transition table, 32 MiB of indices.  Only
+#: simulate's long horizons come near it; LongestRun's (n + 1)**2 states
+#: grow fastest and pass it past n = 1447.
+_TABLE_ENTRIES = 1 << 22
+#: Most draws one call makes: trials (reps x n) for simulate, waits (reps)
+#: for sample_waiting_times.  Each draw holds a float64 uniform and an
+#: integer or two besides, so this keeps a call within a few hundred MiB,
+#: where numpy would page or raise MemoryError on a larger request.
+_DRAW_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -102,68 +114,96 @@ def _stat_fields(stat: Statistic) -> tuple[int, int | None, Scheme]:
     raise TypeError(f"unknown statistic {stat!r}")
 
 
-class _Automaton:
-    """The streak automaton that defines a statistic, one trial at a time.
+def _streak_rows(k: int, scheme: Scheme, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Streak code and completed run after a 0 (column 0) and a 1 (column 1).
 
-    A state is a tuple of integer arrays with one entry per sequence: the
-    current streak, then one or two counters, the last of which is the
-    statistic's value.  They are the longest streak; the number of counted
-    runs; or the running count and the waiting time, which stays 0 while
-    the r-th run has not completed.  :meth:`step` appends trial j (0-based)
-    with value ``bit``, a 0/1 array or one scalar for every sequence; the
-    enumeration and the simulator drive the same step.
+    Row c is the current streak code: c successes in a row, where the last
+    code stands for every longer streak too.  Scheme I counts a run at
+    streak k and starts afresh, so its codes are 0..k-1.  Under II and III
+    the codes are 0..k, the last one "k or more": II counts a streak once,
+    on the success that takes it to k, and III counts every success from
+    there on.  No streak outgrows n, so there are never more than n + 1
+    codes.
     """
-
-    def __init__(self, stat: Statistic):
-        self.longest = isinstance(stat, LongestRun)
-        self.k, self.r, self.scheme = _stat_fields(stat)
-        self.waits = self.r is not None
-
-    def start(self, rows: int, dtype) -> tuple[np.ndarray, ...]:
-        return tuple(np.zeros(rows, dtype=dtype) for _ in range(2 + self.waits))
-
-    def step(self, state: tuple, bit, j: int) -> tuple[np.ndarray, ...]:
-        streak = (state[0] + 1) * bit
-        if self.longest:
-            return streak, np.maximum(state[1], streak)
-        if self.scheme is Scheme.OVERLAPPING:
-            hit = streak >= self.k
-        else:
-            hit = streak == self.k
-            if self.scheme is Scheme.NON_OVERLAPPING:
-                streak = np.where(hit, 0, streak)
-        if not self.waits:
-            return streak, state[1] + hit
-        cum = state[1] + hit
-        wait = np.where((state[2] == 0) & (cum >= self.r), j + 1, state[2])
-        return streak, cum, wait
+    codes = min(k if scheme is Scheme.NON_OVERLAPPING else k + 1, n + 1)
+    streak = np.arange(1, codes + 1)
+    hit = streak >= k if scheme is Scheme.OVERLAPPING else streak == k
+    code = np.minimum(streak, codes - 1)
+    if scheme is Scheme.NON_OVERLAPPING:
+        code[hit] = 0
+    zero = np.zeros(codes, dtype=np.intp)
+    return np.stack([zero, code], axis=1), np.stack([zero, hit], axis=1)
 
 
-def _interleave(zero: np.ndarray, one: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(zero), dtype=zero.dtype)
-    out[0::2] = zero
-    out[1::2] = one
-    return out
+def _transitions(stat: Statistic, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic over n trials as a finite automaton (Fu & Koutras 1994).
+
+    Returns (table, value): trial bit b moves state s to ``table[s, b]``,
+    every sequence starts in state 0, and ``value[s]`` is the statistic of
+    a sequence that ends in s.  A state is a level and a streak code: the
+    level is the longest streak so far for LongestRun (whose codes are the
+    streaks 0..n) and the count of runs for RunCount.  A wait's state is
+    (trials so far, count < r, streak code), plus one absorbing state per
+    trial t at which the r-th run can complete, whose value is t; the others
+    have value 0, no r-th run.  States that no sequence of n trials reaches
+    are clamped into range.
+
+    Raises
+    ------
+    ValueError
+        If the table would hold more than _TABLE_ENTRIES entries.
+    """
+    k, r, scheme = _stat_fields(stat)
+    if isinstance(stat, LongestRun):
+        streak = np.arange(n + 1)
+        code = np.stack([np.zeros_like(streak), np.minimum(streak + 1, n)], axis=1)
+    else:
+        code, hit = _streak_rows(k, scheme, n)
+    codes = len(code)
+    levels = n + 1 if r is None else min(r, n + 1)
+    states = levels * codes if r is None else (n + 1) * levels * codes + n
+    if 2 * states > _TABLE_ENTRIES:
+        raise ValueError(
+            f"the transition table of {type(stat).__name__} over {n} trials "
+            f"would hold {states} x 2 entries, above the limit of {_TABLE_ENTRIES}"
+        )
+    level = np.arange(levels)[:, None, None]
+    after = np.maximum(level, code) if isinstance(stat, LongestRun) else level + hit
+    if r is None:
+        table = np.minimum(after, levels - 1) * codes + code
+        return table.reshape(-1, 2), np.repeat(np.arange(levels), codes)
+    block = levels * codes  # the states after j trials are j * block + ...
+    trial = np.arange(n + 1)[:, None, None, None]
+    table = np.where(
+        after >= r,
+        (n + 1) * block + np.minimum(trial, n - 1),  # the run completes at trial + 1
+        np.minimum(trial + 1, n) * block + np.minimum(after, levels - 1) * codes + code,
+    )
+    absorbed = np.arange((n + 1) * block, states)
+    table = np.concatenate([table.reshape(-1, 2), np.stack([absorbed, absorbed], 1)])
+    zero = np.zeros((n + 1) * block, dtype=np.intp)
+    return table, np.concatenate([zero, np.arange(1, n + 1)])
 
 
-def _scan_tree(automaton: _Automaton, n: int, prefix: int, free: int) -> np.ndarray:
+def _scan_tree(
+    table: np.ndarray, value: np.ndarray, n: int, prefix: int, free: int
+) -> np.ndarray:
     """The statistic on each of the 2**free sequences that share a prefix.
 
-    The n - free leading trials are the bits of ``prefix``, stepped as
-    scalars.  Each later trial becomes the new lowest-order bit: every
-    state is stepped once with a 0 and once with a 1 and the two results
-    are interleaved, so entry i belongs to the sequence whose id is
-    ``prefix << free | i``, after O(2**free) work in all.
+    The n - free leading trials are the bits of ``prefix``, stepped one at
+    a time.  Each later trial becomes the new lowest-order bit: one gather
+    takes every state's successors on a 0 and on a 1 side by side, so entry
+    i belongs to the sequence whose id is ``prefix << free | i``, after
+    O(2**free) work in all.  The last trial gathers the successors' values.
     """
-    state = automaton.start(1, np.int8)  # no statistic exceeds n <= 24
+    state = 0
     fixed = n - free
     for j in range(fixed):
-        state = automaton.step(state, (prefix >> (fixed - 1 - j)) & 1, j)
-    for j in range(fixed, n):
-        zero = automaton.step(state, 0, j)
-        one = automaton.step(state, 1, j)
-        state = tuple(map(_interleave, zero, one))
-    return state[-1]
+        state = table[state, (prefix >> (fixed - 1 - j)) & 1]
+    state = np.array([state], dtype=np.intp)
+    for _ in range(fixed, n - 1):
+        state = np.take(table, state, axis=0).ravel()
+    return np.take(value[table], state, axis=0).ravel()
 
 
 def _sequence_prices(model: TrialModel, n: int) -> tuple[np.ndarray, tuple, tuple]:
@@ -229,7 +269,10 @@ def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
     Sequences are enumerated in chunks of at most 2**20 integer ids (the
     first trial is the highest-order bit) and accumulated in fixed order, so
     results are bit-for-bit reproducible.  Within a chunk the sequences are
-    walked as a prefix tree, one trial per level, in O(2**n) work overall.
+    walked as a prefix tree, one gather of the statistic's transition table
+    per trial, in O(2**n) work overall: at n = 16 the walk is about 0.1 ms
+    of a call's 1 to 1.5 ms, the rest being the sequence codes, prices and
+    sums, and n = 20 takes about 20 ms per statistic (2-core x86-64 Linux).
     Waiting statistics put the mass of sequences with no r-th occurrence
     into the pmf tail.
 
@@ -246,16 +289,17 @@ def enumerate_exact(model: TrialModel, n: int, stat: Statistic) -> Pmf:
             f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_TRIALS}, "
             f"got n={n}; use simulate() for longer horizons"
         )
-    automaton = _Automaton(stat)
+    table, value = _transitions(stat, n)
+    waits = isinstance(stat, (FirstRunWait, RthRunWait))
     free = min(n, _CHUNK_ROWS.bit_length() - 1)  # at most _CHUNK_ROWS per chunk
     price, first_row, step = _sequence_prices(model, n)
     acc = np.zeros(n + 1)
     tail = 0.0
     for prefix in range(1 << (n - free)):
         probs = np.take(price, _tree_codes(n, prefix, free, first_row, step))
-        values = _scan_tree(automaton, n, prefix, free)
+        values = _scan_tree(table, value, n, prefix, free)
         counts = np.bincount(values, weights=probs, minlength=n + 1)
-        if automaton.waits:
+        if waits:
             # a wait of 0 never happened: that mass is the tail, not a value
             counts[0] = 0.0
             tail += float(probs[values == 0].sum())
@@ -337,19 +381,31 @@ def simulate(
 
     Returns an int64 array of length ``reps``; waiting statistics report -1
     on replications where the occurrence never happens within n trials.
-    Identical (model, n, stat, reps, stream) inputs reproduce the array
-    exactly.
+    Each trial is one gather of the statistic's transition table, the one
+    :func:`enumerate_exact` walks.  Identical (model, n, stat, reps, stream)
+    inputs reproduce the array exactly.
+
+    Raises
+    ------
+    ValueError
+        If reps * n exceeds _DRAW_ENTRIES, or the table _TABLE_ENTRIES,
+        before anything is drawn.
     """
     n = _check_integer("horizon n", n)
     reps = _check_integer("reps", reps)
-    rng = stream.generator()
-    bits = _draw_sequences(model, n, reps, rng)
-    automaton = _Automaton(stat)
-    state = automaton.start(reps, np.int64)
+    if reps * n > _DRAW_ENTRIES:
+        raise ValueError(
+            f"simulate would draw reps x n = {reps} x {n} = {reps * n} trials, "
+            f"above the limit of {_DRAW_ENTRIES}"
+        )
+    table, value = _transitions(stat, n)
+    bits = _draw_sequences(model, n, reps, stream.generator())
+    flat = table.ravel()
+    state = np.zeros(reps, dtype=np.intp)
     for j in range(n):
-        state = automaton.step(state, bits[:, j], j)
-    values = state[-1]
-    if automaton.waits:
+        state = np.take(flat, 2 * state + bits[:, j])
+    values = np.take(value, state).astype(np.int64, copy=False)
+    if isinstance(stat, (FirstRunWait, RthRunWait)):
         values[values == 0] = -1
     return values
 
@@ -363,12 +419,16 @@ def sample_waiting_times(
     uniform draw, so no draw is censored; the result is an int64 array of
     waiting times.  It starts at the horizon default_vmax would take, and
     raises ValueError, naming the mean wait, if the table needs a horizon
-    beyond MAX_HORIZON.
+    beyond MAX_HORIZON, and before drawing if reps exceeds _DRAW_ENTRIES.
     """
     reps = _check_integer("reps", reps)
     k = _check_integer("run length k", k)
-    rng = stream.generator()
-    u = rng.random(reps)
+    if reps > _DRAW_ENTRIES:
+        raise ValueError(
+            f"sample_waiting_times would draw reps = {reps} waits, "
+            f"above the limit of {_DRAW_ENTRIES}"
+        )
+    u = stream.generator().random(reps)
     vmax = _covering_horizon(model, k)
     while vmax <= MAX_HORIZON:
         vmax = math.ceil(vmax)

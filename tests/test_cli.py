@@ -392,6 +392,22 @@ def test_automatic_horizon_beyond_the_cap_is_a_clean_error(capsys):
     assert code == 0 and parse(out)["parameters"]["vmax"] == 50
 
 
+def test_a_sample_past_the_draw_limit_is_a_clean_error(capsys, monkeypatch):
+    def unreachable(stream):
+        raise AssertionError("the generator was reached")
+
+    monkeypatch.setattr(cli.SeededStream, "generator", unreachable)
+    code, out, err = run(
+        capsys, "fit", "--k", "2", "--simulate-iid", "0.5",
+        "--reps", "10000000000000", "--seed", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "Error: sample_waiting_times would draw reps = 10000000000000 waits, "
+        "above the limit of 16777216\n"
+    )
+
+
 def test_automatic_rth_run_horizon_beyond_the_cap_is_a_clean_error(capsys):
     code, out, err = run(
         capsys, "pmf", "--iid", "0.2", "--stat", "trk", "--k", "6", "--r", "20"
@@ -514,6 +530,7 @@ def test_a_non_finite_number_fails_in_one_line_in_either_encoding(
         ["moments", "--iid", "0.5", "--stat", "counts", "--k", "2", "--n", "0"],
         ["check", "--n", "30"],
         ["check", "--k", "0"],
+        ["check", "--k", "25"],
         ["fit", "--k", "0", "--simulate-iid", "0.5", "--reps", "10", "--seed", "1"],
         ["fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "0", "--seed", "1"],
         ["fit", "--k", "2", "--simulate-iid", "0.5", "--reps", "10", "--seed", "-1"],

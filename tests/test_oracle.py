@@ -5,7 +5,7 @@ import pytest
 
 from successruns import oracle
 from successruns.geometric import longest_run_pmf
-from successruns.models import IID, Markov, tv_distance
+from successruns.models import IID, ConsistencyError, Markov, tv_distance
 from successruns.oracle import (
     MAX_ENUM_TRIALS,
     FirstRunWait,
@@ -19,6 +19,7 @@ from successruns.oracle import (
     simulate,
 )
 from successruns.rth_waiting import Scheme
+from successruns.run_counts import count_runs, first_occurrence_index
 
 MODELS = [IID(0.5), IID(0.25), Markov(0.45, 0.3, 0.6)]
 # every kind of statistic under every scheme, for k <= 3
@@ -159,7 +160,7 @@ def test_vectorized_and_scalar_enumeration_agree(model, stat):
 
 
 @pytest.mark.parametrize("model", [IID(0.25), Markov(0.45, 0.3, 0.6)])
-@pytest.mark.parametrize("n", [1, 2, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
 def test_prefix_tree_matches_the_column_scan_bit_for_bit(model, n):
     for stat in ALL_STATS:
         pm = enumerate_exact(model, n, stat)
@@ -194,6 +195,19 @@ def test_enumeration_at_the_largest_horizon(model):
     assert tv_distance(exact, longest_run_pmf(model, n)) < 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConsistencyError,
+    reason="2**20-term bincount sums round past the 1e-12 mass gate: "
+    "the enumerated mass is 1.0000000000012712, off by 1.271e-12",
+)
+def test_the_first_markov_run_enumerates_at_the_largest_horizon():
+    # the law of T_1 for k = 1 is the same under every scheme; check --n 24
+    # enumerates it three times and fails on the first
+    pm = enumerate_exact(Markov(0.45, 0.3, 0.6), MAX_ENUM_TRIALS, RthRunWait(1, 1, "I"))
+    assert abs(float(pm.probs.sum()) + pm.tail - 1.0) <= 1e-12
+
+
 def test_enumeration_mass_and_censoring():
     pm = enumerate_exact(IID(0.5), 6, FirstRunWait(3))
     assert pm.offset == 0
@@ -214,6 +228,70 @@ def test_simulate_is_seeded_and_censors():
     valid = a[a >= 0]
     assert valid.min() >= 3
     assert valid.max() <= 8
+
+
+def _longest_streak(bits):
+    best = streak = 0
+    for b in bits:
+        streak = streak + 1 if b else 0
+        best = max(best, streak)
+    return best
+
+
+@pytest.mark.parametrize("model", [IID(0.6), Markov(0.45, 0.7, 0.4)])
+def test_simulate_gives_each_draw_its_statistic(model):
+    n, reps, seed = 12, 150, 4
+    bits = oracle._draw_sequences(model, n, reps, SeededStream(seed).generator())
+    for stat in ALL_STATS:
+        values = simulate(model, n, stat, reps, SeededStream(seed))
+        for row, value in zip(bits.tolist(), values.tolist()):
+            if isinstance(stat, LongestRun):
+                want = _longest_streak(row)
+            elif isinstance(stat, RunCount):
+                want = count_runs(row, stat.k, stat.scheme)
+            else:
+                k, r, scheme = oracle._stat_fields(stat)
+                want = first_occurrence_index(row, k, r, scheme) or -1
+            assert value == want, (stat, row)
+
+
+def _unreachable_generator(stream):
+    raise AssertionError("the generator was reached")
+
+
+def test_draws_past_the_limit_are_refused_before_the_generator(monkeypatch):
+    monkeypatch.setattr(SeededStream, "generator", _unreachable_generator)
+    with pytest.raises(ValueError, match=r"10000000000000 x 10 = .* above the limit"):
+        simulate(IID(0.5), 10, LongestRun(), 10**13, SeededStream(1))
+    with pytest.raises(ValueError, match=r"reps = 10000000000000 waits, above the"):
+        sample_waiting_times(IID(0.5), 2, 10**13, SeededStream(1))
+    # at the limit the draws go ahead, here into the patched generator
+    limit = oracle._DRAW_ENTRIES
+    with pytest.raises(AssertionError, match="reached"):
+        simulate(IID(0.5), 16, RunCount(2, "I"), limit // 16, SeededStream(1))
+    with pytest.raises(AssertionError, match="reached"):
+        sample_waiting_times(IID(0.5), 2, limit, SeededStream(1))
+
+
+def test_a_transition_table_past_the_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(SeededStream, "generator", _unreachable_generator)
+    # LongestRun has (n + 1)**2 states, two entries each
+    with pytest.raises(ValueError, match=r"LongestRun over 1448 trials .* 2099601 x 2"):
+        simulate(IID(0.5), 1448, LongestRun(), 1, SeededStream(1))
+    # a wait's states repeat per trial: 4 streak codes x 5 counts x (n + 1), + n
+    with pytest.raises(ValueError, match=r"RthRunWait over 1000000 .* 21000020 x 2"):
+        simulate(IID(0.5), 10**6, RthRunWait(3, 5, "III"), 1, SeededStream(1))
+
+
+def test_runs_longer_than_the_horizon_never_complete():
+    # a table holds at most n + 1 streak codes and counts, whatever k and r
+    for scheme in Scheme:
+        for stat in (RthRunWait(10**9, 1, scheme), RthRunWait(1, 10**9, scheme)):
+            pm = enumerate_exact(IID(0.5), 5, stat)
+            assert not pm.probs.any() and pm.tail == 1.0
+            assert (simulate(IID(0.5), 5, stat, 50, SeededStream(3)) == -1).all()
+        pm = enumerate_exact(IID(0.5), 5, RunCount(10**9, scheme))
+        assert pm.probs.tolist() == [1.0] + [0.0] * 5
 
 
 def test_simulate_matches_enumeration_in_distribution():
